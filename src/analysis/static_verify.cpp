@@ -124,9 +124,7 @@ bool build_double_buffer(const std::vector<idx_t>& dims,
   }
   const idx_t mu = resolve_packet_size(opts.packet_elems, m);
 
-  const int p = opts.threads > 0 ? opts.threads : opts.topo.total_threads();
-  const int pc = opts.compute_threads >= 0 ? opts.compute_threads
-                                           : (p <= 1 ? p : p / 2);
+  const auto [p, pc] = resolve_role_counts(opts);
   if (pc < 0 || pc > p) {
     *why = "compute_threads outside [0, threads]";
     return false;
@@ -179,7 +177,7 @@ bool build_stage_parallel(const std::vector<idx_t>& dims,
     return false;
   }
   const idx_t mu = resolve_packet_size(opts.packet_elems, m);
-  const int p = opts.threads > 0 ? opts.threads : opts.topo.total_threads();
+  const int p = resolve_role_counts(opts).threads;
 
   std::vector<StageGeometry> stages;
   if (dims.size() == 2) {
@@ -229,7 +227,7 @@ bool build_pencil(const std::vector<idx_t>& dims, const FftOptions& opts,
       return false;
     }
   }
-  const int p = opts.threads > 0 ? opts.threads : opts.topo.total_threads();
+  const int p = resolve_role_counts(opts).threads;
   out->engine = engine_label(EngineKind::Pencil);
   out->threads = p;
   out->compute_threads = p;
@@ -285,7 +283,7 @@ bool build_slab_pencil(const std::vector<idx_t>& dims, const FftOptions& opts,
   const idx_t k = dims[0], n = dims[1], m = dims[2];
   const idx_t slab = n * m;
   const idx_t mu = packet_size_for(m);
-  const int p = opts.threads > 0 ? opts.threads : opts.topo.total_threads();
+  const int p = resolve_role_counts(opts).threads;
   out->engine = engine_label(EngineKind::SlabPencil);
   out->threads = p;
   out->compute_threads = p;

@@ -124,10 +124,10 @@ BatchExecutor::BatchExecutor(ServeOptions opts)
   // double-buffer role plan's pin list for this thread budget. Plans with
   // other pin shapes (unpinned engines, degraded budgets) pool their own
   // teams on first use; this one is the steady-state workhorse.
-  const int pc = opts_.plan.compute_threads >= 0
-                     ? opts_.plan.compute_threads
-                     : (threads_ <= 1 ? threads_ : threads_ / 2);
-  const RolePlan roles = make_role_plan(threads_, pc, opts_.plan.topo);
+  FftOptions team_opts = opts_.plan;
+  team_opts.threads = threads_;
+  const auto [p, pc] = resolve_role_counts(team_opts);
+  const RolePlan roles = make_role_plan(p, pc, opts_.plan.topo);
   team_cpus_ = opts_.pin_threads ? roles.cpu : std::vector<int>{};
   team_ = parallel::TeamPool::global().acquire(threads_, team_cpus_);
 

@@ -38,10 +38,7 @@ DoubleBufferEngine::DoubleBufferEngine(std::vector<idx_t> dims, Direction dir,
     ffts_.push_back(std::make_shared<Fft1d>(g.fft_len, dir_, opts_.isa));
   }
 
-  const int p = opts_.threads > 0 ? opts_.threads : opts_.topo.total_threads();
-  const int pc = opts_.compute_threads >= 0
-                     ? opts_.compute_threads
-                     : (p <= 1 ? p : p / 2);
+  const auto [p, pc] = resolve_role_counts(opts_);
   roles_ = make_role_plan(p, pc, opts_.topo);
   team_ = parallel::make_team(
       p, opts_.pin_threads ? roles_.cpu : std::vector<int>{},

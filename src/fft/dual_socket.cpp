@@ -29,13 +29,9 @@ DualSocketFft3d::DualSocketFft3d(idx_t k, idx_t n, idx_t m, Direction dir,
     ffts_.push_back(std::make_shared<Fft1d>(g.fft_len, dir_, opts_.isa));
   }
 
-  const int p = opts_.threads > 0 ? opts_.threads : opts_.topo.total_threads();
-  per_socket_threads_ = std::max(1, p / sk_);
-  const int pc = opts_.compute_threads >= 0
-                     ? opts_.compute_threads
-                     : (per_socket_threads_ <= 1 ? per_socket_threads_
-                                                 : per_socket_threads_ / 2);
-  socket_roles_ = make_role_plan(per_socket_threads_, pc, opts_.topo);
+  const auto [p, pc] = resolve_role_counts(opts_, sk_);
+  per_socket_threads_ = p;
+  socket_roles_ = make_role_plan(p, pc, opts_.topo);
   team_ = parallel::make_team(per_socket_threads_ * sk_, {},
                                opts_.team_pool);
 

@@ -238,10 +238,6 @@ void inplace_copy_back(cplx* dst, const cvec& work, bool nontemporal) {
 
 constexpr int kMaxRetries = 3;
 
-int resolved_threads(const FftOptions& opts) {
-  return opts.threads > 0 ? opts.threads : opts.topo.total_threads();
-}
-
 /// A stall or lost worker may be transient (or injected once): worth a
 /// retry with a smaller team. Everything else either cannot recover
 /// (kBadPlan, kInternal) or recovers by switching engines, not resizing.
@@ -252,7 +248,7 @@ bool transient(ErrorCode c) {
 /// Shrink the plan after a transient failure: halve the thread budget and
 /// let the role split re-derive itself from the new size.
 void halve_threads(FftOptions& opts) {
-  opts.threads = std::max(1, resolved_threads(opts) / 2);
+  opts.threads = std::max(1, resolve_role_counts(opts).threads / 2);
   opts.compute_threads = -1;
 }
 
@@ -306,7 +302,7 @@ std::unique_ptr<MdEngine> make_engine_recovering(
       code = ErrorCode::kAllocFailed;
       if (attempt >= kMaxRetries) throw;
     }
-    if (transient(code) && resolved_threads(opts) > 1) {
+    if (transient(code) && resolve_role_counts(opts).threads > 1) {
       halve_threads(opts);
       fault::note_retry();
     } else if (!degrade_engine(dims, opts, "plan construction failed")) {
@@ -348,7 +344,7 @@ Status try_execute_recovering(const std::vector<idx_t>& dims, Direction dir,
         st.code() == ErrorCode::kInternal || attempt >= kMaxRetries) {
       break;
     }
-    if (transient(st.code()) && resolved_threads(opts) > 1) {
+    if (transient(st.code()) && resolve_role_counts(opts).threads > 1) {
       halve_threads(opts);
       fault::note_retry();
       ++retries;
@@ -364,9 +360,9 @@ Status try_execute_recovering(const std::vector<idx_t>& dims, Direction dir,
   if (rep) {
     rep->status = st;
     rep->retries = retries;
-    rep->threads_used =
-        (engine && opts.engine == EngineKind::Reference) ? 1
-                                                         : resolved_threads(opts);
+    rep->threads_used = (engine && opts.engine == EngineKind::Reference)
+                            ? 1
+                            : resolve_role_counts(opts).threads;
     rep->engine = engine ? engine->name() : engine_name(opts.engine);
     rep->degradations = fault::degrade_notes();
   }

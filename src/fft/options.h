@@ -1,6 +1,7 @@
 // Plan options shared by all multidimensional FFT engines.
 #pragma once
 
+#include <algorithm>
 #include <string>
 
 #include "common/topology.h"
@@ -115,5 +116,16 @@ struct FftOptions {
   /// Scale the inverse transform by 1/N (forward is never scaled).
   bool normalize_inverse = false;
 };
+
+/// Team size p (opts.threads; 0 = all of opts.topo) shared by `teams` equal
+/// teams, and p_c per team (opts.compute_threads; -1 = the even split).
+/// make_role_plan rejects p_c outside [0, p] with kBadPlan.
+struct RoleCounts { int threads, compute; };
+inline RoleCounts resolve_role_counts(const FftOptions& opts, int teams = 1) {
+  int p = opts.threads > 0 ? opts.threads : opts.topo.total_threads();
+  if (teams > 1) p = std::max(1, p / teams);
+  return {p, opts.compute_threads >= 0 ? opts.compute_threads
+                                       : (p <= 1 ? p : p / 2)};
+}
 
 }  // namespace bwfft

@@ -19,7 +19,7 @@ PencilEngine::PencilEngine(std::vector<idx_t> dims, Direction dir,
     total_ *= d;
     ffts_.push_back(std::make_shared<Fft1d>(d, dir_, opts_.isa));
   }
-  const int p = opts_.threads > 0 ? opts_.threads : opts_.topo.total_threads();
+  const int p = resolve_role_counts(opts_).threads;
   team_ = parallel::make_team(p, {}, opts_.team_pool);
 }
 

@@ -33,7 +33,7 @@ StageParallelEngine::StageParallelEngine(std::vector<idx_t> dims,
   for (const auto& g : stages_) {
     ffts_.push_back(std::make_shared<Fft1d>(g.fft_len, dir_, opts_.isa));
   }
-  const int p = opts_.threads > 0 ? opts_.threads : opts_.topo.total_threads();
+  const int p = resolve_role_counts(opts_).threads;
   team_ = parallel::make_team(p, {}, opts_.team_pool);
 }
 

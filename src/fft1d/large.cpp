@@ -115,9 +115,7 @@ Fft1dLarge::Fft1dLarge(idx_t n, Direction dir, const FftOptions& opts)
   fft_n1_ = std::make_shared<Fft1d>(n1_, dir_, opts_.isa);
   fft_n2_ = std::make_shared<Fft1d>(n2_, dir_, opts_.isa);
 
-  const int p = opts_.threads > 0 ? opts_.threads : opts_.topo.total_threads();
-  const int pc = opts_.compute_threads >= 0 ? opts_.compute_threads
-                                            : (p <= 1 ? p : p / 2);
+  const auto [p, pc] = resolve_role_counts(opts_);
   roles_ = make_role_plan(p, pc, opts_.topo);
   team_ = parallel::make_team(
       p, opts_.pin_threads ? roles_.cpu : std::vector<int>{},
@@ -136,7 +134,7 @@ Fft1dLarge::Fft1dLarge(idx_t n, Direction dir, const FftOptions& opts)
 void Fft1dLarge::column_pass(cplx* data) {
   // (DFT_{n1} (x) I_{n2}) then D_{n2}^{n1 n2}, tiled over groups of W
   // contiguous columns. Tiles are row-major n1 x W, so the strided side
-  // of the loads and stores moves W-element (up to 1 KiB) contiguous
+  // of the loads and stores moves W-element (up to 512 B) contiguous
   // runs and the lanes kernel sweeps W-wide SIMD rows.
   const idx_t W = cols_per_group_;
   const idx_t groups_total = n2_ / W;
@@ -213,50 +211,65 @@ void Fft1dLarge::column_pass(cplx* data) {
 
 void Fft1dLarge::row_pass(const cplx* src, cplx* dst) {
   // (I_{n1} (x) DFT_{n2}) then the final L_{n2}^{n1 n2}: contiguous rows
-  // in, transposing scatter out. Blocks are R-row groups, so the output
-  // side writes R-element (up to 2 KiB) contiguous runs — the gather
-  // feeding each run walks R cached rows of the tile in lockstep.
+  // in, transposing scatter out. Blocks are whole R-row groups, so the
+  // output side writes R-element (up to 2 KiB) contiguous runs — the
+  // gather feeding each run walks R cached rows of the tile in lockstep.
+  //
+  // Every thread of a role takes an equal share of every block, however
+  // many groups it holds (usually one): compute threads split its rows,
+  // data threads its columns [q0, q1). Load and store split alike, so a
+  // data thread only refills the span it has just retired
+  // (pipeline/pipeline.h).
   const idx_t R = rows_per_group_;
   const idx_t row_groups = n1_ / R;
-  const idx_t group_elems = R * n2_;
   const idx_t groups_per_block =
-      rows_per_block(row_groups, pipeline_->block_elems() / group_elems);
+      rows_per_block(row_groups, pipeline_->block_elems() / (R * n2_));
+  const idx_t block_rows = groups_per_block * R;
   const bool nt = opts_.nontemporal;
+  // Inverse normalisation rides the compute task while the rows are
+  // cached instead of costing another full sweep over `dst`.
+  const bool normalize =
+      dir_ == Direction::Inverse && opts_.normalize_inverse;
+  const double scale = 1.0 / static_cast<double>(n_);
 
   BWFFT_OBS_SCOPE(obs_stage, "large1d-rows", 'G', row_groups);
   PipelineStage stage;
   stage.iterations = row_groups / groups_per_block;
   stage.load = [=, this](idx_t i, cplx* buf, int rank, int parts) {
-    auto [g0, g1] = ThreadTeam::chunk(groups_per_block, parts, rank);
-    if (g1 > g0) {
-      const idx_t row0 = (i * groups_per_block + g0) * R;
-      std::memcpy(buf + g0 * group_elems, src + row0 * n2_,
-                  static_cast<std::size_t>((g1 - g0) * group_elems) *
-                      sizeof(cplx));
-      BWFFT_OBS_COUNT(BytesLoaded, (g1 - g0) * group_elems * sizeof(cplx));
+    auto [q0, q1] = ThreadTeam::chunk(n2_, parts, rank);
+    if (q1 <= q0) return;
+    const cplx* block = src + i * block_rows * n2_;
+    for (idx_t r = 0; r < block_rows; ++r) {
+      std::memcpy(buf + r * n2_ + q0, block + r * n2_ + q0,
+                  static_cast<std::size_t>(q1 - q0) * sizeof(cplx));
     }
+    BWFFT_OBS_COUNT(BytesLoaded, block_rows * (q1 - q0) * sizeof(cplx));
   };
   stage.compute = [=, this](idx_t, cplx* buf, int rank, int parts) {
-    auto [g0, g1] = ThreadTeam::chunk(groups_per_block, parts, rank);
-    if (g1 > g0) fft_n2_->apply_batch(buf + g0 * group_elems, (g1 - g0) * R);
+    auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
+    if (r1 <= r0) return;
+    cplx* rows = buf + r0 * n2_;
+    fft_n2_->apply_batch(rows, r1 - r0);
+    if (normalize) {
+      for (idx_t k = 0; k < (r1 - r0) * n2_; ++k) rows[k] *= scale;
+    }
   };
   stage.store = [=, this](idx_t i, const cplx* buf, int rank, int parts) {
-    auto [g0, g1] = ThreadTeam::chunk(groups_per_block, parts, rank);
+    auto [q0, q1] = ThreadTeam::chunk(n2_, parts, rank);
+    if (q1 <= q0) return;
     cplx run[kRowGroupCap];
-    for (idx_t g = g0; g < g1; ++g) {
+    for (idx_t g = 0; g < groups_per_block; ++g) {
       const idx_t row0 = (i * groups_per_block + g) * R;
-      const cplx* tile = buf + g * group_elems;
+      const cplx* tile = buf + g * R * n2_;
       // The output run for column q is the q-th element of each of the R
       // rows. Consecutive q revisit the same R cachelines, so the gather
       // stays L1-resident between the contiguous NT stores.
-      for (idx_t q = 0; q < n2_; ++q) {
+      for (idx_t q = q0; q < q1; ++q) {
         for (idx_t l = 0; l < R; ++l) run[l] = tile[l * n2_ + q];
         store_packet(dst + q * n1_ + row0, run, R, nt);
       }
     }
-    if (g1 > g0) {
-      BWFFT_OBS_COUNT(BytesStored, (g1 - g0) * group_elems * sizeof(cplx));
-    }
+    BWFFT_OBS_COUNT(BytesStored, block_rows * (q1 - q0) * sizeof(cplx));
   };
   pipeline_->execute(stage);
 }
@@ -272,12 +285,6 @@ void Fft1dLarge::execute(cplx* in, cplx* out) {
   }
   column_pass(in);
   row_pass(in, out);
-  if (dir_ == Direction::Inverse && opts_.normalize_inverse) {
-    const double s = 1.0 / static_cast<double>(n_);
-    parallel_for_chunks(*team_, n_, [&](int, idx_t lo, idx_t hi) {
-      for (idx_t i = lo; i < hi; ++i) out[i] *= s;
-    });
-  }
 }
 
 }  // namespace bwfft

@@ -12,9 +12,9 @@
 // run as two tiled, software-pipelined passes through the load/compute/
 // store double buffer (pipeline/pipeline.h) on a pinned ThreadTeam:
 //
-//   column pass  (DFT_{n1} (x) I_{n2}), then D:  groups of up to 64
+//   column pass  (DFT_{n1} (x) I_{n2}), then D:  groups of up to 32
 //       contiguous columns are gathered row by row (each strided read
-//       moves a ~1 KiB run), transformed with the wide-lane kernel,
+//       moves a 512 B run), transformed with the wide-lane kernel,
 //       scaled by the twiddle diagonal while cached (all columns step a
 //       geometric recurrence together over contiguous rows, exactly
 //       refreshed every kTwiddleRefresh rows to bound drift), and
@@ -23,7 +23,8 @@
 //       streamed in, transformed with the batched codelets, and scattered
 //       through the final stride permutation — per output column an
 //       in-cache gather over up to 128 tile rows feeds one contiguous
-//       ~2 KiB NT store.
+//       ~2 KiB NT store. Every thread of a role shares every block: the
+//       compute threads split its rows, the data threads its columns.
 //
 // A transform larger than the LLC therefore streams exactly twice
 // through DRAM with all reshaping hidden behind compute. The n = n1*n2

@@ -40,6 +40,13 @@ namespace bwfft {
 /// Callbacks of one tiled stage. Each receives the block index, the buffer
 /// half to use, and its partition (rank of `parts`); implementations must
 /// touch only their partition so tasks can run concurrently.
+///
+/// Load and store must split a block the same way across the data
+/// threads: within one step a data thread stores block i-2 and then loads
+/// block i into the same half with no barrier in between, so its load may
+/// only overwrite the region it has just stored itself. Compute may split
+/// the block independently (by rows where load and store split by
+/// columns, say): a team barrier separates it from both.
 struct PipelineStage {
   idx_t iterations = 0;
   std::function<void(idx_t iter, cplx* buf, int rank, int parts)> load;

@@ -2,9 +2,15 @@
 // reference oracle, across shapes, directions and thread configurations.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "analysis/static_verify.h"
 #include "common/rng.h"
+#include "fft/double_buffer.h"
+#include "fft/dual_socket.h"
 #include "fft/fft.h"
 #include "fft/reference.h"
+#include "fft1d/large.h"
 #include "test_util.h"
 
 namespace bwfft {
@@ -211,6 +217,58 @@ TEST(EngineErrors, RejectsBadConfigs) {
   EXPECT_THROW(Fft2d(4, 4, Direction::Forward, o), Error);  // 3D only
   o.engine = EngineKind::Pencil;
   EXPECT_THROW(Fft2d(6, 4, Direction::Forward, o), Error);  // non-pow2
+}
+
+/// The ErrorCode a callable throws as bwfft::Error; kOk when it returns.
+template <class F>
+ErrorCode thrown_code(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return ErrorCode::kOk;
+}
+
+TEST(EngineErrors, RoleCountsResolveFromOptions) {
+  FftOptions o;
+  o.threads = 6;
+  EXPECT_EQ(6, resolve_role_counts(o).threads);
+  EXPECT_EQ(3, resolve_role_counts(o).compute);  // the even split
+  EXPECT_EQ(3, resolve_role_counts(o, 2).threads);
+  EXPECT_EQ(1, resolve_role_counts(o, 2).compute);
+  o.compute_threads = 5;
+  EXPECT_EQ(5, resolve_role_counts(o).compute);
+  o.threads = 0;
+  EXPECT_EQ(o.topo.total_threads(), resolve_role_counts(o).threads);
+  o.threads = 1;
+  o.compute_threads = -1;
+  EXPECT_EQ(1, resolve_role_counts(o).compute);  // one thread computes
+}
+
+TEST(EngineErrors, OutOfRangeComputeThreadsIsBadPlan) {
+  // Every engine that plans a role split rejects p_c > p with the typed
+  // kBadPlan error; the static verifier declines to model it.
+  FftOptions o;
+  o.threads = 4;
+  o.compute_threads = 5;
+  EXPECT_EQ(ErrorCode::kBadPlan, thrown_code([&] {
+              DoubleBufferEngine({8, 8, 8}, Direction::Forward, o);
+            }));
+  EXPECT_EQ(ErrorCode::kBadPlan, thrown_code([&] {
+              DualSocketFft3d(8, 8, 8, Direction::Forward, o, 2);
+            }));
+  EXPECT_EQ(ErrorCode::kBadPlan, thrown_code([&] {
+              Fft1dLarge(idx_t{1} << 12, Direction::Forward, o);
+            }));
+  analysis::PlanModel model;
+  std::string why;
+  EXPECT_FALSE(analysis::build_plan_model({8, 8, 8}, o, &model, &why));
+  EXPECT_EQ("compute_threads outside [0, threads]", why);
+  o.compute_threads = 4;  // p_d = 0 is legal: the degraded schedule
+  EXPECT_EQ(ErrorCode::kOk, thrown_code([&] {
+              DoubleBufferEngine({8, 8, 8}, Direction::Forward, o);
+            }));
 }
 
 }  // namespace

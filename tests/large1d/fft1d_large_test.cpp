@@ -5,7 +5,12 @@
 // the engine implements.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <utility>
+#include <vector>
 
 #include "../test_util.h"
 #include "common/error.h"
@@ -13,6 +18,7 @@
 #include "fft/reference.h"
 #include "fft1d/fft1d.h"
 #include "fft1d/large.h"
+#include "obs/obs.h"
 #include "spl/algorithms.h"
 
 namespace bwfft {
@@ -33,6 +39,15 @@ cvec stockham_oracle(const cvec& x, Direction dir = Direction::Forward) {
 FftOptions large_opts(int threads) {
   FftOptions o;
   o.threads = threads;
+  return o;
+}
+
+/// Options whose row-pass block holds exactly one group of 16 rows: the
+/// shape the default block policy yields from 2^22 to 2^26, pinned here
+/// so it does not depend on the host's LLC.
+FftOptions one_row_group_opts(idx_t n, int threads) {
+  FftOptions o = large_opts(threads);
+  o.block_elems = 16 * Fft1dLarge::choose_factors(n, 0).second;
   return o;
 }
 
@@ -57,16 +72,21 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Fft1dLargeSizes,
                          ::testing::Values(18, 20, 22, 24));
 
 TEST(Fft1dLarge, InverseRoundTripNormalized) {
-  const idx_t n = idx_t{1} << 20;
-  auto x = random_cvec(n, 9510);
-  FftOptions io = large_opts(1);
-  io.normalize_inverse = true;
-  Fft1dLarge fwd(n, Direction::Forward, large_opts(1));
-  Fft1dLarge inv(n, Direction::Inverse, io);
-  cvec a = x, b(x.size()), c(x.size());
-  fwd.execute(a.data(), b.data());
-  inv.execute(b.data(), c.data());
-  EXPECT_LT(max_err(x, c), fft_tol(static_cast<double>(n)));
+  // The 1/n scale rides the row-pass compute task, so with several
+  // compute threads each one scales only its own share of the rows.
+  for (auto [log_n, threads] : {std::pair<int, int>{20, 1}, {22, 4}}) {
+    const idx_t n = idx_t{1} << log_n;
+    auto x = random_cvec(n, 9510 + log_n);
+    FftOptions io = large_opts(threads);
+    io.normalize_inverse = true;
+    Fft1dLarge fwd(n, Direction::Forward, large_opts(threads));
+    Fft1dLarge inv(n, Direction::Inverse, io);
+    cvec a = x, b(x.size()), c(x.size());
+    fwd.execute(a.data(), b.data());
+    inv.execute(b.data(), c.data());
+    EXPECT_LT(max_err(x, c), fft_tol(static_cast<double>(n)))
+        << "n=2^" << log_n << " threads=" << threads;
+  }
 }
 
 TEST(Fft1dLarge, NonSquareRequestedFactorMatches) {
@@ -106,17 +126,72 @@ TEST(Fft1dLarge, OddRadixFactorizationMatches) {
 
 TEST(Fft1dLarge, MultiThreadedPipelineMatches) {
   // The TSan target: both tiled passes pipeline load/compute/store
-  // across a pinned team. Any missing hand-off fence shows up here.
+  // across a pinned team. Any missing hand-off fence shows up here. The
+  // one-group blocks make the data threads split each row-pass block by
+  // columns (load and store alike), and the 3 + 1 split gives the
+  // compute threads unequal shares of its 16 rows.
   const idx_t n = idx_t{1} << 20;
   auto x = random_cvec(n, 9540);
   const cvec want = stockham_oracle(x);
-  for (int threads : {2, 4}) {
-    Fft1dLarge plan(n, Direction::Forward, large_opts(threads));
+  FftOptions three_compute = one_row_group_opts(n, 4);
+  three_compute.compute_threads = 3;
+  const std::pair<const char*, FftOptions> configs[] = {
+      {"threads=2", large_opts(2)},
+      {"threads=4", large_opts(4)},
+      {"threads=4 one-group blocks", one_row_group_opts(n, 4)},
+      {"threads=4 compute=3 one-group blocks", three_compute},
+  };
+  for (const auto& [label, opts] : configs) {
+    Fft1dLarge plan(n, Direction::Forward, opts);
     cvec in = x, got(x.size());
     plan.execute(in.data(), got.data());
-    EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
-        << "threads=" << threads;
+    EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n))) << label;
   }
+}
+
+TEST(Fft1dLarge, RowPassGivesEveryComputeThreadWork) {
+#if !defined(BWFFT_OBS)
+  GTEST_SKIP() << "observability disabled";
+#else
+  // A row-pass block holding a single row group must still be shared by
+  // every compute thread: per thread, the 'C' slice time inside the
+  // large1d-rows stage slice stays within 4x of the busiest thread's.
+  // Checked for the even split and for the tuner's 3 + 1 split.
+  const idx_t n = idx_t{1} << 22;
+  auto x = random_cvec(n, 9570);
+  for (int compute : {-1, 3}) {
+    FftOptions o = one_row_group_opts(n, 4);
+    o.compute_threads = compute;
+    Fft1dLarge plan(n, Direction::Forward, o);
+    cvec in = x, got(x.size());
+    obs::start_trace();
+    plan.execute(in.data(), got.data());
+    obs::stop_trace();
+    const std::vector<obs::Slice> slices = obs::drain_trace();
+
+    const auto rows = std::find_if(
+        slices.begin(), slices.end(), [](const obs::Slice& s) {
+          return s.phase == 'G' && std::strcmp(s.name, "large1d-rows") == 0;
+        });
+    ASSERT_NE(rows, slices.end());
+    std::map<int, std::uint64_t> busy_ns;  // obs tid -> summed 'C' time
+    for (const obs::Slice& s : slices) {
+      if (s.phase == 'C' && s.t0_ns >= rows->t0_ns && s.t1_ns <= rows->t1_ns) {
+        busy_ns[s.tid] += s.t1_ns - s.t0_ns;
+      }
+    }
+    const std::size_t want_threads = compute < 0 ? 2 : 3;
+    ASSERT_EQ(want_threads, busy_ns.size()) << "compute=" << compute;
+    std::uint64_t lo = UINT64_MAX, hi = 0;
+    for (const auto& [tid, ns] : busy_ns) {
+      lo = std::min(lo, ns);
+      hi = std::max(hi, ns);
+    }
+    EXPECT_GE(4 * lo, hi) << "compute=" << compute << ": least-busy compute "
+                          << "thread " << lo << " ns vs busiest " << hi
+                          << " ns";
+  }
+#endif
 }
 
 TEST(Fft1dLarge, TinySizesMatchFourStepSpec) {
