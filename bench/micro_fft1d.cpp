@@ -1,13 +1,12 @@
 // google-benchmark microbenchmarks for the 1D kernel layer: the batch and
-// lane kernels the double-buffered stages are built from, and the strided
-// in-place path the naive baseline uses.
+// lane kernels the double-buffered stages are built from (power-of-two
+// and smooth sizes), the strided in-place path the naive baseline uses,
+// and the Bluestein path for sizes with a prime factor above 13.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "fft1d/fft1d.h"
-#include "fft1d/fft1d_split.h"
-#include "fft1d/mixed_radix.h"
-#include "kernels/vecops.h"
+#include "kernels/isa.h"
 
 namespace {
 
@@ -46,12 +45,12 @@ void BM_LanesScalarForced(benchmark::State& state) {
   const idx_t count = std::max<idx_t>((1 << 16) / (n * lanes), 1);
   Fft1d plan(n, Direction::Forward);
   cvec data = random_cvec(n * lanes * count);
-  set_force_scalar(true);
+  kernels::set_isa_override(kernels::Isa::Scalar);
   for (auto _ : state) {
     plan.apply_lanes(data.data(), lanes, count);
     benchmark::DoNotOptimize(data.data());
   }
-  set_force_scalar(false);
+  kernels::set_isa_override(kernels::Isa::Auto);
   state.SetItemsProcessed(state.iterations() * n * lanes * count);
 }
 BENCHMARK(BM_LanesScalarForced)->Arg(256);
@@ -73,42 +72,24 @@ BENCHMARK(BM_StridedInplace)
     ->Args({256, 256})
     ->Args({1024, 1024});
 
-// Block-interleaved (split) compute kernel vs the interleaved one — the
-// format-change ablation of §IV-A (ref [18]). Data is pre-packed; the
-// benchmark isolates butterfly throughput.
-void BM_LanesSplitFormat(benchmark::State& state) {
+// Smooth (13-smooth, non-power-of-two) sizes: the same Stockham schedule
+// with a mixed radix chain, one pencil and one cacheline of lanes.
+void BM_SmoothLanes(benchmark::State& state) {
   const idx_t n = state.range(0);
-  const idx_t lanes = kMu;
-  const idx_t count = std::max<idx_t>((1 << 16) / (n * lanes), 1);
-  SplitFft1d plan(n, Direction::Forward);
-  cvec seed = random_cvec(n * lanes * count);
-  dvec data(static_cast<std::size_t>(2 * n * lanes * count));
-  for (idx_t t = 0; t < count; ++t) {
-    SplitFft1d::pack(seed.data() + t * n * lanes,
-                     data.data() + 2 * t * n * lanes, n, lanes);
-  }
+  const idx_t lanes = state.range(1);
+  Fft1d plan(n, Direction::Forward);
+  cvec data = random_cvec(n * lanes);
   for (auto _ : state) {
-    plan.apply_lanes(data.data(), lanes, count);
+    plan.apply_lanes(data.data(), lanes, 1);
     benchmark::DoNotOptimize(data.data());
   }
-  state.SetItemsProcessed(state.iterations() * n * lanes * count);
+  state.SetItemsProcessed(state.iterations() * n * lanes);
 }
-BENCHMARK(BM_LanesSplitFormat)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_MixedRadix(benchmark::State& state) {
-  const idx_t n = state.range(0);
-  MixedRadixFft plan(n, Direction::Forward);
-  cvec data = random_cvec(n);
-  for (auto _ : state) {
-    plan.apply(data.data());
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_MixedRadix)->Arg(120)->Arg(1000)->Arg(3600);
+BENCHMARK(BM_SmoothLanes)
+    ->ArgsProduct({{120, 1000, 3600}, {1, kMu}});
 
 void BM_Bluestein(benchmark::State& state) {
-  const idx_t n = state.range(0);  // non-power-of-two
+  const idx_t n = state.range(0);  // has a prime factor above 13
   Fft1d plan(n, Direction::Forward);
   cvec data = random_cvec(n);
   for (auto _ : state) {
@@ -117,6 +98,6 @@ void BM_Bluestein(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_Bluestein)->Arg(100)->Arg(1000);
+BENCHMARK(BM_Bluestein)->Arg(1003)->Arg(1009);  // 17*59, prime
 
 }  // namespace

@@ -1,9 +1,10 @@
 #include "fft1d/fft1d.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "common/error.h"
-#include "kernels/codelets.h"
 
 namespace bwfft {
 
@@ -17,31 +18,46 @@ cplx* thread_scratch(std::size_t elems) {
   return scratch.data();
 }
 
+/// Greedy radix chain of the Stockham schedule: 16 while it divides, then
+/// the largest of 8..2, then 13 or 11 — the first entry of this list that
+/// divides what is left. Powers of two get 16...16 plus one 8/4/2 level.
+/// Empty when n has a prime factor above 13 (Bluestein's job) or n == 1.
+std::vector<idx_t> stockham_radices(idx_t n) {
+  static constexpr idx_t kRadices[] = {16, 8, 7, 6, 5, 4, 3, 2, 13, 11};
+  std::vector<idx_t> chain;
+  while (n > 1) {
+    const idx_t* r = std::find_if(std::begin(kRadices), std::end(kRadices),
+                                  [n](idx_t c) { return n % c == 0; });
+    if (r == std::end(kRadices)) return {};
+    chain.push_back(*r);
+    n /= *r;
+  }
+  return chain;
+}
+
 }  // namespace
 
 Fft1d::Fft1d(idx_t n, Direction dir, kernels::Isa isa)
     : n_(n), dir_(dir), isa_(isa) {
   BWFFT_CHECK(n >= 1, "FFT size must be >= 1");
-  if (is_pow2(n_)) {
-    // Greedy high-radix Stockham schedule: radix-16 levels while the
-    // remaining length divides 16, then one radix-8/4/2 level for the
-    // leftover. Each level is executed by the batched radix-r codelet
-    // with the per-packet twiddle rows precomputed here.
-    for (idx_t len = n_; len > 1;) {
-      const idx_t r = len % 16 == 0 ? 16 : len;  // leftover is 2, 4, or 8
-      const idx_t q = len / r;
-      StockhamLevel lvl;
-      lvl.radix = r;
-      lvl.tw.resize(static_cast<std::size_t>((r - 1) * q));
-      for (idx_t p = 0; p < q; ++p) {
-        for (idx_t k = 1; k < r; ++k) {
-          lvl.tw[static_cast<std::size_t>((r - 1) * p + (k - 1))] =
-              root_of_unity(len, (k * p) % len, dir_);
-        }
+  // Each Stockham level is executed by the batched radix-r codelet with
+  // the per-packet twiddle rows precomputed here.
+  idx_t len = n_;
+  for (const idx_t r : stockham_radices(n_)) {
+    const idx_t q = len / r;
+    StockhamLevel lvl;
+    lvl.radix = r;
+    lvl.tw.resize(static_cast<std::size_t>((r - 1) * q));
+    for (idx_t p = 0; p < q; ++p) {
+      for (idx_t k = 1; k < r; ++k) {
+        lvl.tw[static_cast<std::size_t>((r - 1) * p + (k - 1))] =
+            root_of_unity(len, (k * p) % len, dir_);
       }
-      slevels_.push_back(std::move(lvl));
-      len = q;
     }
+    slevels_.push_back(std::move(lvl));
+    len = q;
+  }
+  if (is_pow2(n_)) {
     const int levels = log2_floor(n_);
     dit_tw_ = root_table(n_, std::max<idx_t>(n_ / 2, 1), dir_);
     bitrev_.resize(static_cast<std::size_t>(n_));
@@ -53,11 +69,7 @@ Fft1d::Fft1d(idx_t n, Direction dir, kernels::Isa isa)
       }
       bitrev_[static_cast<std::size_t>(i)] = r;
     }
-  } else if (n_ <= codelets::kMaxCodelet) {
-    // Small sizes run the batched codelets directly; no plan state.
-  } else if (MixedRadixFft::supported(n_)) {
-    mixed_ = std::make_unique<MixedRadixFft>(n_, dir_);
-  } else {
+  } else if (slevels_.empty()) {
     // Bluestein chirp-z setup: convolution length M = next pow2 >= 2n-1.
     conv_n_ = 1;
     while (conv_n_ < 2 * n_ - 1) conv_n_ <<= 1;
@@ -114,39 +126,11 @@ void Fft1d::apply_lanes(cplx* data, idx_t lanes, idx_t count) const {
   BWFFT_CHECK(lanes >= 1 && count >= 0, "bad lanes/count");
   if (n_ == 1 || count == 0) return;
 
-  if (is_pow2(n_)) {
+  if (!slevels_.empty()) {
     const kernels::BatchTable& bt = kernels::dispatch_batch_table(isa_);
     cplx* scratch = thread_scratch(static_cast<std::size_t>(n_ * lanes));
     for (idx_t t = 0; t < count; ++t) {
       stockham_tile(data + t * n_ * lanes, scratch, lanes, bt);
-    }
-    return;
-  }
-
-  if (n_ <= codelets::kMaxCodelet) {
-    // One batched call per tile, in place (is == os == lanes).
-    const kernels::BatchFn fn = kernels::dispatch_batch_table(isa_).fn[n_];
-    for (idx_t t = 0; t < count; ++t) {
-      cplx* tile = data + t * n_ * lanes;
-      fn(tile, lanes, tile, lanes, lanes, nullptr, dir_);
-    }
-    return;
-  }
-
-  if (mixed_) {
-    // Smooth sizes: exact mixed-radix per lane pencil.
-    cvec pencil(static_cast<std::size_t>(n_));
-    for (idx_t t = 0; t < count; ++t) {
-      cplx* tile = data + t * n_ * lanes;
-      for (idx_t l = 0; l < lanes; ++l) {
-        if (lanes == 1) {
-          mixed_->apply(tile);
-        } else {
-          for (idx_t j = 0; j < n_; ++j) pencil[static_cast<std::size_t>(j)] = tile[j * lanes + l];
-          mixed_->apply(pencil.data());
-          for (idx_t j = 0; j < n_; ++j) tile[j * lanes + l] = pencil[static_cast<std::size_t>(j)];
-        }
-      }
     }
     return;
   }

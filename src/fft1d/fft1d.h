@@ -9,9 +9,9 @@
 //    This is the SPL construct I_count (x) DFT_n (x) I_lanes. With
 //    lanes = mu (one cacheline) every butterfly streams whole cachelines,
 //    which is the paper's "cache aware FFT" (§IV-A). Stockham autosort
-//    over the batched split-format codelets (kernels/batch.h), radices
-//    {16, 8, 4, 2}, SIMD-dispatched at run time (scalar / AVX2+FMA /
-//    AVX-512 from cpuid).
+//    over the batched split-format codelets (kernels/batch.h),
+//    SIMD-dispatched at run time (scalar / AVX2+FMA / AVX-512 from
+//    cpuid).
 //
 //  * apply_batch(data, count) — lanes = 1 special case (I_count (x) DFT_n),
 //    the stage-1 kernel operating on contiguous pencils.
@@ -21,10 +21,11 @@
 //    baseline the paper criticises. Iterative DIT with bit-reversal; no
 //    buffering, so large strides hit main memory hard — deliberately.
 //
-// Power-of-two sizes run the Stockham/DIT paths; other sizes use the
-// batched small-DFT codelets (n <= 16), the mixed-radix Cooley–Tukey
-// engine (smooth sizes, prime factors <= 7), or Bluestein's chirp-z
-// algorithm on top of the power-of-two engine (everything else).
+// Every size whose prime factors are all <= 13 runs the same Stockham
+// schedule; only its radix chain changes (16...16 plus one 8/4/2 level
+// for powers of two, 8/7/6/5/4/3/2 and then 13/11 levels otherwise).
+// Sizes with a larger prime factor use Bluestein's chirp-z algorithm on
+// top of the power-of-two engine.
 #pragma once
 
 #include <memory>
@@ -32,7 +33,6 @@
 
 #include "common/aligned.h"
 #include "common/types.h"
-#include "fft1d/mixed_radix.h"
 #include "kernels/batch.h"
 #include "kernels/twiddle.h"
 
@@ -45,7 +45,7 @@ class Fft1d {
   /// thread-safe (scratch is per-thread). `isa` is the instruction-set
   /// REQUEST for the batched codelets: the default Auto follows the
   /// kernels/isa.h decision path (env override, cpuid) at apply time, so
-  /// a plan built once still honours later BWFFT_ISA / force_scalar
+  /// a plan built once still honours later BWFFT_ISA / set_isa_override
   /// toggles; a concrete request pins the plan (clamped to the host).
   Fft1d(idx_t n, Direction dir, kernels::Isa isa = kernels::Isa::Auto);
 
@@ -87,10 +87,10 @@ class Fft1d {
                      const kernels::BatchTable& bt) const;
   void bluestein(cplx* data) const;
 
-  /// One Stockham DIF level of radix r in {16, 8, 4, 2}: the greedy
-  /// high-radix schedule (16 while it divides, then one 8/4/2 level)
-  /// minimises passes over the cached tile — n = 128 takes two levels
-  /// where the old radix-4/2 schedule took four. Twiddles are laid out
+  /// One Stockham DIF level of radix r <= 16: the greedy high-radix
+  /// schedule (16 while it divides, then 8..2, then 13/11) minimises
+  /// passes over the cached tile — n = 128 takes two levels where a
+  /// radix-4/2 schedule takes four. Twiddles are laid out
   /// per output packet p: tw[(r-1)*p + (k-1)] = w_len^{p*k}, exactly the
   /// `tw` row the batched codelet ABI consumes; packet p = 0 has unit
   /// twiddles and is passed tw = nullptr.
@@ -102,14 +102,11 @@ class Fft1d {
   idx_t n_;
   Direction dir_;
   kernels::Isa isa_;                // dispatch request (Auto = decide late)
-  std::vector<StockhamLevel> slevels_;  // Stockham schedule (pow2 sizes)
-  cvec dit_tw_;                     // DIT twiddles w_n^j, j < n/2
-  std::vector<idx_t> bitrev_;       // bit-reversal permutation
+  std::vector<StockhamLevel> slevels_;  // Stockham schedule (13-smooth n)
+  cvec dit_tw_;                     // DIT twiddles w_n^j, j < n/2 (pow2)
+  std::vector<idx_t> bitrev_;       // bit-reversal permutation (pow2)
 
-  // Mixed-radix engine (smooth non-power-of-two sizes).
-  std::unique_ptr<MixedRadixFft> mixed_;
-
-  // Bluestein state (non-power-of-two, non-codelet sizes).
+  // Bluestein state (sizes with a prime factor above 13).
   idx_t conv_n_ = 0;                // power-of-two convolution length
   cvec chirp_;                      // c[j] = w^{j^2/2}: conjugate chirp
   cvec chirp_fft_;                  // FFT of the zero-padded chirp kernel

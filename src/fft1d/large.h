@@ -33,7 +33,7 @@
 // rows),
 // exposed to the tuner as a grid axis and persisted in wisdom. Factors
 // need not be powers of two: any n1 | n works — each factor runs through
-// Fft1d (Stockham / mixed-radix / Bluestein) and the packet widths adapt
+// Fft1d (Stockham or Bluestein) and the packet widths adapt
 // to the largest power of two dividing each factor. Sizes too small or
 // too prime to split (no divisor in [2, n/2]) degenerate to one flat
 // Fft1d pass.

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/cpu.h"
-#include "kernels/vecops.h"
 
 namespace bwfft::kernels {
 
@@ -70,7 +69,6 @@ bool isa_available(Isa isa) {
 Isa active_isa() { return resolve_isa(Isa::Auto); }
 
 Isa resolve_isa(Isa requested) {
-  if (force_scalar()) return Isa::Scalar;
   if (requested != Isa::Auto) return clamp_to_host(requested);
   const Isa ovr = static_cast<Isa>(g_override.load(std::memory_order_relaxed));
   if (ovr != Isa::Auto) return clamp_to_host(ovr);
@@ -96,7 +94,6 @@ std::string dispatch_report() {
   const char* env = std::getenv("BWFFT_ISA");
   os << "env BWFFT_ISA: " << (env != nullptr ? env : "(unset)") << "\n";
   os << "override: " << isa_name(isa_override()) << "\n";
-  os << "force_scalar: " << (force_scalar() ? 1 : 0) << "\n";
   os << "active: " << isa_name(active_isa()) << "\n";
   return os.str();
 }

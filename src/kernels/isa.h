@@ -11,14 +11,15 @@
 //   1. BWFFT_ISA environment variable ("scalar" | "avx2" | "avx512"),
 //      read once at first use; requests above the host's capability
 //      clamp down to the best available set.
-//   2. set_isa_override() — the programmatic equivalent (tests, benches).
-//   3. set_force_scalar() (kernels/vecops.h) — the pre-existing ablation
-//      toggle; it wins over everything and forces Isa::Scalar.
+//   2. set_isa_override() — the programmatic equivalent (tests, benches,
+//      ablations); it wins over the environment.
 //
-// Decision path: force_scalar ? scalar
-//              : override set ? min(override, detected)
+// Decision path for an Auto request:
+//                override set ? min(override, detected)
 //              : env set      ? min(env, detected)
 //              : detected best.
+// A concrete request (a plan pinned to one ISA) skips both and only
+// clamps to the host.
 #pragma once
 
 #include <string>
@@ -53,8 +54,8 @@ bool isa_available(Isa isa);
 Isa active_isa();
 
 /// Resolve a request against the dispatch state: Auto -> active_isa(),
-/// anything else clamps to the host capability (and to Scalar while
-/// force_scalar() is set), so the result is always executable.
+/// anything else clamps to the host capability, so the result is always
+/// executable.
 Isa resolve_isa(Isa requested);
 
 /// Programmatic override (Auto clears it). Requests wider than the host

@@ -9,6 +9,7 @@
 #include "common/error.h"
 #include "common/timer.h"
 #include "fft/engine.h"
+#include "fft1d/large.h"
 #include "kernels/isa.h"
 #include "obs/obs.h"
 #include "stream/stream.h"
@@ -143,6 +144,13 @@ TuneReport tune_transform(const std::vector<idx_t>& dims, Direction dir,
   // whole grid, which the default config never is.
   BWFFT_CHECK(best != nullptr, "no tuning candidate could be planned");
   rep.chosen = *best;
+  if (dims.size() == 1 && rep.chosen.engine == EngineKind::DoubleBuffer &&
+      rep.chosen.factor_n1 == 0) {
+    // The default baseline leaves the four-step split to the policy; pin
+    // the split it resolves to, so wisdom records the factorization that
+    // was measured.
+    rep.chosen.factor_n1 = Fft1dLarge::choose_factors(dims[0], 0).first;
+  }
   return rep;
 }
 
@@ -152,7 +160,7 @@ FftOptions resolve_auto(const std::vector<idx_t>& dims, Direction dir,
               "only 1D, 2D and 3D transforms are supported");
   // Wisdom keys compose the topology fingerprint with the ACTIVE ISA so
   // a config measured with AVX-512 kernels is never replayed onto a run
-  // forced down to scalar (BWFFT_ISA / force_scalar) or vice versa.
+  // forced down to scalar (BWFFT_ISA / set_isa_override) or vice versa.
   const std::string fingerprint =
       topology_fingerprint(req.topo) + "-" +
       kernels::isa_name(kernels::resolve_isa(req.isa));

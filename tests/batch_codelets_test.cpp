@@ -16,7 +16,6 @@
 #include "kernels/codelets.h"
 #include "kernels/isa.h"
 #include "kernels/twiddle.h"
-#include "kernels/vecops.h"
 #include "layout/stream_copy.h"
 #include "obs/obs.h"
 #include "test_util.h"
@@ -186,16 +185,16 @@ TEST(BatchDispatch, LookupNeverNullInRange) {
 }
 
 TEST(BatchDispatch, OverrideClampsAndForcedScalarWins) {
-  // Requesting wider than the host clamps down; force_scalar beats all.
+  // Requesting wider than the host clamps down; a Scalar override beats
+  // the environment and the detected ISA for every Auto request.
   kernels::set_isa_override(Isa::Avx512);
   const Isa clamped = kernels::active_isa();
   EXPECT_TRUE(kernels::isa_available(clamped));
-  kernels::set_isa_override(Isa::Auto);
 
-  set_force_scalar(true);
+  kernels::set_isa_override(Isa::Scalar);
   EXPECT_EQ(Isa::Scalar, kernels::active_isa());
-  EXPECT_EQ(Isa::Scalar, kernels::resolve_isa(Isa::Avx512));
-  set_force_scalar(false);
+  EXPECT_EQ(Isa::Scalar, kernels::resolve_isa(Isa::Auto));
+  kernels::set_isa_override(Isa::Auto);
 }
 
 TEST(BatchDispatch, DispatchBumpsPerIsaCounter) {

@@ -5,7 +5,7 @@
 #include "common/rng.h"
 #include "fft/reference.h"
 #include "fft1d/fft1d.h"
-#include "kernels/vecops.h"
+#include "kernels/isa.h"
 #include "test_util.h"
 
 namespace bwfft {
@@ -53,12 +53,17 @@ TEST_P(Fft1dSizes, ForwardInverseRoundTrip) {
   EXPECT_LT(max_err(x, y), fft_tol(static_cast<double>(n)));
 }
 
-// Power-of-two sizes exercise Stockham; 3,5,6,7 the codelets; 9..60 the
-// Bluestein chirp-z path; 1 the no-op edge.
-INSTANTIATE_TEST_SUITE_P(AllPaths, Fft1dSizes,
-                         ::testing::Values<idx_t>(1, 2, 3, 4, 5, 6, 7, 8, 9,
-                                                  10, 12, 15, 16, 17, 31, 32,
-                                                  60, 64, 128, 256, 1024));
+// Every size whose prime factors are <= 13 runs the Stockham schedule:
+// powers of two with radices 16/8/4/2, 7-smooth sizes (3 ... 1000) with
+// 8/7/6/5/4/3/2, and 22, 26, 143, 176 with 11/13 levels too. 17, 31, 34
+// and 1009 have a prime factor above 13 and take the Bluestein chirp-z
+// path; 1 is the no-op edge.
+INSTANTIATE_TEST_SUITE_P(
+    AllPaths, Fft1dSizes,
+    ::testing::Values<idx_t>(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 17,
+                             18, 20, 22, 24, 26, 30, 31, 32, 34, 36, 48, 60,
+                             64, 100, 120, 128, 143, 144, 176, 210, 240, 256,
+                             360, 1000, 1009, 1024));
 
 TEST(Fft1d, BatchTransformsEachPencilIndependently) {
   const idx_t n = 16, count = 5;
@@ -100,6 +105,41 @@ INSTANTIATE_TEST_SUITE_P(
     LaneShapes, Fft1dLanes,
     ::testing::Combine(::testing::Values<idx_t>(2, 4, 8, 32, 128),
                        ::testing::Values<idx_t>(1, 2, 4, 8)));
+
+// Smooth sizes run the same batched Stockham tile across all lanes at once.
+INSTANTIATE_TEST_SUITE_P(
+    SmoothLaneShapes, Fft1dLanes,
+    ::testing::Combine(::testing::Values<idx_t>(12, 60, 360),
+                       ::testing::Values<idx_t>(4, 8)));
+
+// Every mixed-radix size through the batched lanes path, one cacheline
+// packet of lanes, both directions.
+class MixedRadixSizes : public ::testing::TestWithParam<idx_t> {};
+
+TEST_P(MixedRadixSizes, MatchesReference) {
+  const idx_t n = GetParam(), lanes = kMu;
+  for (Direction dir : {Direction::Forward, Direction::Inverse}) {
+    Fft1d plan(n, dir);
+    auto x = random_cvec(n * lanes, 6500 + n);
+    cvec got = x;
+    plan.apply_lanes(got.data(), lanes, 1);
+    for (idx_t l = 0; l < lanes; ++l) {
+      cvec pencil(static_cast<std::size_t>(n)), out(pencil.size());
+      for (idx_t j = 0; j < n; ++j) {
+        pencil[static_cast<std::size_t>(j)] = x[static_cast<std::size_t>(j * lanes + l)];
+        out[static_cast<std::size_t>(j)] = got[static_cast<std::size_t>(j * lanes + l)];
+      }
+      EXPECT_LT(max_err(reference_fft(pencil, dir), out),
+                fft_tol(static_cast<double>(n)))
+          << "n=" << n << " lane " << l;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SmoothSizes, MixedRadixSizes,
+                         ::testing::Values<idx_t>(12, 18, 20, 24, 30, 36, 48,
+                                                  60, 100, 120, 144, 210, 240,
+                                                  360, 1000));
 
 TEST(Fft1d, StridedInplaceMatchesBatch) {
   const idx_t n = 64, stride = 5;
@@ -143,16 +183,17 @@ TEST(Fft1d, StridedLanesMatchesGather) {
 }
 
 TEST(Fft1d, ScalarPathMatchesVectorPath) {
-  const idx_t n = 256;
-  auto x = random_cvec(n, 9);
-  Fft1d plan(n, Direction::Forward);
-  cvec vec_result = x;
-  plan.apply_batch(vec_result.data(), 1);
-  set_force_scalar(true);
-  cvec scal_result = x;
-  plan.apply_batch(scal_result.data(), 1);
-  set_force_scalar(false);
-  EXPECT_LT(max_err(vec_result, scal_result), 1e-13);
+  for (idx_t n : {idx_t{256}, idx_t{360}}) {
+    auto x = random_cvec(n, 9);
+    Fft1d plan(n, Direction::Forward);
+    cvec vec_result = x;
+    plan.apply_batch(vec_result.data(), 1);
+    kernels::set_isa_override(kernels::Isa::Scalar);
+    cvec scal_result = x;
+    plan.apply_batch(scal_result.data(), 1);
+    kernels::set_isa_override(kernels::Isa::Auto);
+    EXPECT_LT(max_err(vec_result, scal_result), 1e-13) << "n=" << n;
+  }
 }
 
 // Linearity: F(a x + b y) = a F(x) + b F(y).

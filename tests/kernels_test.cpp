@@ -1,21 +1,16 @@
-// Tests for the kernel layer: twiddle tables, codelets against the dense
-// DFT, and the SIMD butterfly micro-op against its scalar semantics.
+// Tests for the kernel layer: twiddle tables and the codelet trig
+// constants. The batched codelets themselves are checked per ISA in
+// batch_codelets_test.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 
-#include "common/rng.h"
 #include "kernels/codelets.h"
 #include "kernels/twiddle.h"
-#include "kernels/vecops.h"
-#include "spl/expr.h"
-#include "test_util.h"
 
 namespace bwfft {
 namespace {
-
-using test::max_err;
 
 constexpr double kPi = std::numbers::pi_v<double>;
 
@@ -62,72 +57,11 @@ TEST(Twiddle, Pow2Helpers) {
   EXPECT_EQ(10, log2_floor(1024));
 }
 
-class CodeletSizes : public ::testing::TestWithParam<idx_t> {};
-
-TEST_P(CodeletSizes, MatchesDenseDftBothDirections) {
-  const idx_t n = GetParam();
-  auto fn = codelets::lookup(n);
-  ASSERT_NE(nullptr, fn);
-  for (Direction dir : {Direction::Forward, Direction::Inverse}) {
-    auto x = random_cvec(n, 600 + n);
-    cvec got(x.size());
-    fn(x.data(), 1, got.data(), 1, dir);
-    auto want = (*spl::dft(n, dir))(x);
-    EXPECT_LT(max_err(want, got), 1e-13) << "n=" << n;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(All, CodeletSizes,
-                         ::testing::Values<idx_t>(2, 3, 4, 5, 6, 7, 8, 16));
-
-TEST(Codelets, StridedInputAndOutput) {
-  const idx_t n = 8, is = 3, os = 2;
-  auto x = random_cvec(n * is, 700);
-  cvec got(static_cast<std::size_t>(n * os), cplx(-9, -9));
-  codelets::dft8(x.data(), is, got.data(), os, Direction::Forward);
-  cvec gathered(static_cast<std::size_t>(n));
-  for (idx_t j = 0; j < n; ++j) gathered[static_cast<std::size_t>(j)] = x[static_cast<std::size_t>(j * is)];
-  auto want = (*spl::dft(n))(gathered);
-  for (idx_t j = 0; j < n; ++j) {
-    EXPECT_NEAR(0.0,
-                std::abs(want[static_cast<std::size_t>(j)] -
-                         got[static_cast<std::size_t>(j * os)]),
-                1e-13);
-  }
-  // Holes between output strides must be untouched.
-  EXPECT_EQ(cplx(-9, -9), got[1]);
-}
-
-TEST(Codelets, LookupCoversEverySupportedSize) {
-  // 9..15 are served by the generic strided fallback; lookup() must never
-  // return null inside [2, kMaxCodelet].
-  for (idx_t n = 2; n <= codelets::kMaxCodelet; ++n) {
-    EXPECT_NE(nullptr, codelets::lookup(n)) << "n=" << n;
-  }
-  EXPECT_EQ(nullptr, codelets::lookup(1));
-  EXPECT_EQ(nullptr, codelets::lookup(32));
-}
-
-TEST(Codelets, FallbackSizesMatchDenseDftBothDirections) {
-  for (idx_t n = 9; n <= 15; ++n) {
-    auto fn = codelets::lookup(n);
-    ASSERT_NE(nullptr, fn);
-    for (Direction dir : {Direction::Forward, Direction::Inverse}) {
-      auto x = random_cvec(n, 900 + n);
-      cvec got(x.size());
-      fn(x.data(), 1, got.data(), 1, dir);
-      auto want = (*spl::dft(n, dir))(x);
-      EXPECT_LT(max_err(want, got), 1e-12) << "n=" << n;
-    }
-  }
-}
-
 TEST(Codelets, TrigTablesAreBitExactWithPerCallExpressions) {
-  // Satellite regression: dft5/dft7/dft16 hoisted their cos/sin calls into
-  // dft_trig tables. The table builder must evaluate the *same* libm
-  // expression shapes the codelets used per call, or results drift by an
-  // ULP between builds. Recompute each angle exactly as the old code did
-  // and demand bitwise equality.
+  // The 5-, 7- and 16-point codelet bodies take their cos/sin from the
+  // dft_trig tables. The table builder must evaluate the angle as
+  // ((2*pi)*j)/n, or results drift by an ULP between builds. Recompute
+  // each angle that way and demand bitwise equality.
   for (idx_t n : {idx_t{5}, idx_t{7}, idx_t{16}}) {
     const auto& t = codelets::dft_trig(n);
     for (idx_t j = 0; j < n; ++j) {
@@ -139,7 +73,7 @@ TEST(Codelets, TrigTablesAreBitExactWithPerCallExpressions) {
           << "sin n=" << n << " j=" << j;
     }
   }
-  // dft16 derives its inverse twiddles from the same table via
+  // The 16-point body derives its inverse twiddles from the same table via
   // cos(-x) == cos(x), sin(-x) == -sin(x); confirm libm honors that
   // symmetry bitwise for the angles in play.
   for (idx_t j = 0; j < 16; ++j) {
@@ -147,29 +81,6 @@ TEST(Codelets, TrigTablesAreBitExactWithPerCallExpressions) {
     EXPECT_EQ(std::cos(-ang), std::cos(ang)) << "j=" << j;
     EXPECT_EQ(std::sin(-ang), -std::sin(ang)) << "j=" << j;
   }
-}
-
-TEST(VecOps, ButterflyPacketsMatchesScalar) {
-  for (idx_t count : {2, 4, 8, 16}) {
-    auto a = random_cvec(count, 800);
-    auto b = random_cvec(count, 801);
-    const cplx w(0.6, -0.8);
-    cvec lo_v(a.size()), hi_v(a.size()), lo_s(a.size()), hi_s(a.size());
-    vecops::butterfly_packets(a.data(), b.data(), w, lo_v.data(), hi_v.data(),
-                              count);
-    vecops::butterfly_packets_scalar(a.data(), b.data(), w, lo_s.data(),
-                                     hi_s.data(), count);
-    EXPECT_LT(max_err(lo_v, lo_s), 1e-15) << count;
-    EXPECT_LT(max_err(hi_v, hi_s), 1e-15) << count;
-  }
-}
-
-TEST(VecOps, ForceScalarToggle) {
-  EXPECT_FALSE(force_scalar());
-  set_force_scalar(true);
-  EXPECT_TRUE(force_scalar());
-  set_force_scalar(false);
-  EXPECT_FALSE(force_scalar());
 }
 
 }  // namespace

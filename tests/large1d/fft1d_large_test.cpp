@@ -1,14 +1,17 @@
 // Tests for Fft1dLarge, the tuned four-step engine for out-of-LLC 1D
-// transforms (docs/INTERNALS.md §15). Large sizes are checked against the
-// flat Stockham pass (itself dense-oracle-verified in fft1d_test); tiny
-// sizes are cross-checked against the spl::dft1d_four_step specification
-// the engine implements.
+// transforms (docs/INTERNALS.md §15), and its four-step SPL
+// specification. Large sizes are checked against the flat Stockham pass
+// (itself dense-oracle-verified in fft1d_test); small sizes run with a
+// tiny block so both passes still tile and pipeline, and are checked
+// against the dense oracle or the spl::dft1d_four_step specification the
+// engine implements.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,7 +31,7 @@ using test::fft_tol;
 using test::max_err;
 
 /// Oracle for sizes where the dense O(n^2) reference is unusable: one
-/// flat Stockham / mixed-radix pass over the whole array.
+/// flat Fft1d pass (Stockham, or Bluestein for primes) over the array.
 cvec stockham_oracle(const cvec& x, Direction dir = Direction::Forward) {
   cvec want = x;
   Fft1d flat(static_cast<idx_t>(x.size()), dir);
@@ -49,6 +52,115 @@ FftOptions one_row_group_opts(idx_t n, int threads) {
   FftOptions o = large_opts(threads);
   o.block_elems = 16 * Fft1dLarge::choose_factors(n, 0).second;
   return o;
+}
+
+/// Options with a 512-element (8 KiB) block: small sizes still tile into
+/// several pipeline steps.
+FftOptions small_block_opts(int threads) {
+  FftOptions o = large_opts(threads);
+  o.block_elems = 512;
+  return o;
+}
+
+TEST(FourStepSpl, EqualsDenseDft) {
+  for (auto [a, b] : {std::pair<idx_t, idx_t>{4, 4}, {4, 8}, {8, 4}, {3, 5}}) {
+    auto got = spl::dft1d_four_step(a, b);
+    EXPECT_LT(spl::max_abs_diff(*got, *spl::dft(a * b)), 1e-10)
+        << a << "x" << b;
+  }
+}
+
+class Fft1dLargeSmallSizes
+    : public ::testing::TestWithParam<std::tuple<idx_t, int>> {};
+
+TEST_P(Fft1dLargeSmallSizes, MatchesReference) {
+  const auto [n, threads] = GetParam();
+  auto x = random_cvec(n, 8500 + n);
+  cvec want(x.size());
+  reference_dft_1d(x.data(), want.data(), n, Direction::Forward);
+  Fft1dLarge plan(n, Direction::Forward, small_block_opts(threads));
+  cvec in = x, got(x.size());
+  plan.execute(in.data(), got.data());
+  EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
+      << "n=" << n << " threads=" << threads << " n1=" << plan.factor_n1();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, Fft1dLargeSmallSizes,
+    ::testing::Combine(::testing::Values<idx_t>(16, 64, 256, 512, 4096),
+                       ::testing::Values(1, 2, 4)));
+
+TEST(Fft1dLarge, LargerThanBufferSize) {
+  // n far exceeds the configured block: both passes must tile and
+  // pipeline (the paper's future-work case: the 1D FFT does not fit the
+  // shared buffer).
+  const idx_t n = 1 << 16;
+  FftOptions o = small_block_opts(4);
+  o.block_elems = 2048;  // 32 KiB halves << 1 MiB problem
+  auto x = random_cvec(n, 8600);
+  Fft1dLarge plan(n, Direction::Forward, o);
+  cvec in = x, got(x.size());
+  plan.execute(in.data(), got.data());
+  EXPECT_LT(max_err(stockham_oracle(x), got),
+            fft_tol(static_cast<double>(n)));
+}
+
+TEST(Fft1dLarge, InverseRoundTrip) {
+  const idx_t n = 1024;
+  auto x = random_cvec(n, 8700);
+  FftOptions io = small_block_opts(2);
+  io.normalize_inverse = true;
+  Fft1dLarge fwd(n, Direction::Forward, small_block_opts(2));
+  Fft1dLarge inv(n, Direction::Inverse, io);
+  cvec a = x, b(x.size()), c(x.size());
+  fwd.execute(a.data(), b.data());
+  inv.execute(b.data(), c.data());
+  EXPECT_LT(max_err(x, c), fft_tol(static_cast<double>(n)));
+}
+
+TEST(Fft1dLarge, SplitIsNearSquare) {
+  Fft1dLarge p1(1 << 10, Direction::Forward, small_block_opts(1));
+  EXPECT_EQ(32, p1.factor_n1());
+  EXPECT_EQ(32, p1.factor_n2());
+  Fft1dLarge p2(1 << 11, Direction::Forward, small_block_opts(1));
+  EXPECT_EQ(32, p2.factor_n1());
+  EXPECT_EQ(64, p2.factor_n2());
+}
+
+TEST(Fft1dLarge, SmallAndNonPow2SizesPlan) {
+  // Composite sizes split (factors need not be powers of two), so
+  // 12 = 3*4 and 8 = 2*4 both plan and match the dense oracle.
+  for (idx_t n : {idx_t{8}, idx_t{12}, idx_t{3 * 64}}) {
+    auto x = random_cvec(n, 8800 + n);
+    cvec want(x.size());
+    reference_dft_1d(x.data(), want.data(), n, Direction::Forward);
+    Fft1dLarge plan(n, Direction::Forward, small_block_opts(1));
+    cvec in = x, got(x.size());
+    plan.execute(in.data(), got.data());
+    EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
+        << "n=" << n;
+  }
+}
+
+TEST(Fft1dLarge, RejectsMisfitFactor) {
+  FftOptions o = small_block_opts(1);
+  o.factor_n1 = 5;  // does not divide 64
+  EXPECT_THROW(Fft1dLarge(64, Direction::Forward, o), Error);
+}
+
+TEST(Fft1dLarge, HonoursRequestedFactor) {
+  const idx_t n = 1 << 12;
+  FftOptions o = small_block_opts(2);
+  o.factor_n1 = 16;  // non-square split by request
+  Fft1dLarge plan(n, Direction::Forward, o);
+  EXPECT_EQ(16, plan.factor_n1());
+  EXPECT_EQ(n / 16, plan.factor_n2());
+  auto x = random_cvec(n, 8900);
+  cvec want(x.size());
+  reference_dft_1d(x.data(), want.data(), n, Direction::Forward);
+  cvec in = x, got(x.size());
+  plan.execute(in.data(), got.data());
+  EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)));
 }
 
 class Fft1dLargeSizes : public ::testing::TestWithParam<int> {};

@@ -77,8 +77,8 @@ TEST(Misc, LowerInverseDirection) {
 }
 
 TEST(Misc, StockhamHandlesOddAndEvenLog2) {
-  // Radix-4 schedule with (even log2) and without (odd log2) the trailing
-  // radix-2 level must both be exact.
+  // Radix-16 levels plus every kind of leftover level (4 at 64, 8 at 128
+  // and 2048, 2 at 512) must all be exact.
   for (idx_t n : {64, 128, 512, 2048}) {  // log2 = 6,7,9,11
     Fft1d plan(n, Direction::Forward);
     auto x = random_cvec(n, 9600 + n);
