@@ -16,7 +16,7 @@
 #include "benchutil/metrics.h"
 #include "benchutil/table.h"
 #include "common/cpu.h"
-#include "fft/double_buffer.h"
+#include "fft/stage_chain.h"
 
 using namespace bwfft;
 
@@ -43,7 +43,7 @@ int main() {
       FftOptions o;
       o.threads = p;
       o.compute_threads = pc;
-      DoubleBufferEngine eng({k, n, m}, Direction::Forward, o);
+      StageChainEngine eng({k, n, m}, Direction::Forward, o);
 
       auto run = [&](bool pipelined) {
         std::vector<double> times;
@@ -78,7 +78,7 @@ int main() {
     FftOptions o;
     o.threads = 2;
     o.compute_threads = 1;
-    DoubleBufferEngine eng({k, n, m}, Direction::Forward, o);
+    StageChainEngine eng({k, n, m}, Direction::Forward, o);
     eng.set_collect_utilization(true);
     std::copy(original.begin(), original.end(), in.begin());
     eng.execute(in.data(), out.data());

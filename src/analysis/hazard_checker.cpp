@@ -353,4 +353,13 @@ bool self_check_enabled() {
   return on;
 }
 
+void execute_self_checked(DoubleBufferPipeline& pipe,
+                          const PipelineStage& stage) {
+  if (self_check_enabled()) {
+    HazardChecker{pipe, {.probe_partitions = false}}.run_checked(stage);
+  } else {
+    pipe.execute(stage);
+  }
+}
+
 }  // namespace bwfft::analysis

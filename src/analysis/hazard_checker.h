@@ -136,4 +136,11 @@ class HazardChecker {
 /// when BWFFT_SELF_CHECK=1 is exported. Cached after the first call.
 bool self_check_enabled();
 
+/// The engines' pipeline runner: pipe.execute(stage), and under
+/// self_check_enabled() the same run through
+/// HazardChecker{pipe, {.probe_partitions = false}}.run_checked(stage), so
+/// a schedule hazard throws instead of corrupting the result silently.
+void execute_self_checked(DoubleBufferPipeline& pipe,
+                          const PipelineStage& stage);
+
 }  // namespace bwfft::analysis

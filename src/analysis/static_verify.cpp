@@ -65,11 +65,10 @@ bool windows_overlap(const StridedInterval& a, const StridedInterval& b) {
   return false;
 }
 
-/// Geometry-derived windows shared by the double-buffer and
-/// stage-parallel builders: the load of rows [r0, r1) of block `i` reads
-/// a contiguous row range of the input; the rotated store scatters one
-/// mu-packet of each of those rows every rows*mu elements of the output
-/// (rotate_store_rows: row r packet p lands at out[(p*(a*b) + r) * mu]).
+/// The load of rows [r0, r1) of block `i` reads a contiguous row range of
+/// the input; the rotated store scatters one mu-packet of each of those
+/// rows every rows*mu elements of the output (rotate_store_rows: row r
+/// packet p lands at out[(p*(a*b) + r) * mu]).
 StridedInterval rotated_store_window(const StageGeometry& g, idx_t first_row,
                                      idx_t nrows) {
   return {first_row * g.mu, nrows * g.mu, g.rows() * g.mu, g.cp()};
@@ -114,90 +113,28 @@ void build_tiled_stage(const StageGeometry& g, idx_t total, int parts,
   *out = std::move(st);
 }
 
-bool build_double_buffer(const std::vector<idx_t>& dims,
-                         const FftOptions& opts, PlanModel* out,
-                         std::string* why) {
-  const idx_t m = dims.back();
-  if (opts.packet_elems > 0 && m % opts.packet_elems != 0) {
-    *why = "packet_elems does not divide the fast dimension";
+/// Stage-parallel and double-buffer: one tiled stage model per stage of
+/// the plan the stage-chain engine executes. A Lockstep stage is one
+/// un-tiled pass (every thread transforms and rotates its row chunk,
+/// temporal stores); a Table II stage streams blocks through the buffer.
+bool build_stage_chain(const std::vector<idx_t>& dims, const FftOptions& opts,
+                       PlanModel* out, std::string* why) {
+  const StagePlan plan = plan_stages(dims, opts);
+  if (!plan.ok()) {
+    *why = plan.why;
     return false;
   }
-  const idx_t mu = resolve_packet_size(opts.packet_elems, m);
-
-  const auto [p, pc] = resolve_role_counts(opts);
-  if (pc < 0 || pc > p) {
-    *why = "compute_threads outside [0, threads]";
-    return false;
-  }
-  const int pd = p - pc;
-  const bool pipelined = pd > 0;
-  // Sequential degraded schedule partitions over the compute group; the
-  // Table II schedule gives load/store to the data group.
-  const int parts = pipelined ? pd : pc;
-  if (parts < 1) {
-    *why = "no thread left to move data";
-    return false;
-  }
-
-  std::vector<StageGeometry> stages;
-  if (dims.size() == 2) {
-    auto s = make_2d_stages(dims[0], dims[1], mu);
-    stages.assign(s.begin(), s.end());
-  } else {
-    auto s = make_3d_stages(dims[0], dims[1], dims[2], mu);
-    stages.assign(s.begin(), s.end());
-  }
-
-  idx_t block = opts.block_elems > 0 ? opts.block_elems
-                                     : default_block_elems(opts.topo);
-  for (const auto& g : stages) block = std::max(block, g.row_elems());
-
-  out->engine = engine_label(EngineKind::DoubleBuffer);
-  out->threads = p;
-  out->compute_threads = pc;
-  out->data_threads = pd;
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    const StageGeometry& g = stages[s];
-    const idx_t block_rows =
-        rows_per_block(g.rows(), block / g.row_elems());
+  const bool lockstep = plan.schedule == StageSchedule::Lockstep;
+  const bool pipelined = !lockstep && plan.data() > 0;
+  out->engine = engine_label(lockstep ? EngineKind::StageParallel
+                                      : EngineKind::DoubleBuffer);
+  out->threads = plan.threads;
+  out->compute_threads = plan.compute;
+  out->data_threads = plan.data();
+  for (std::size_t s = 0; s < plan.chain.size(); ++s) {
     StageModel st;
-    build_tiled_stage(g, out->total, parts, block_rows, pipelined,
-                      opts.nontemporal, "stage-" + std::to_string(s), &st);
-    out->stages.push_back(std::move(st));
-  }
-  return true;
-}
-
-bool build_stage_parallel(const std::vector<idx_t>& dims,
-                          const FftOptions& opts, PlanModel* out,
-                          std::string* why) {
-  const idx_t m = dims.back();
-  if (opts.packet_elems > 0 && m % opts.packet_elems != 0) {
-    *why = "packet_elems does not divide the fast dimension";
-    return false;
-  }
-  const idx_t mu = resolve_packet_size(opts.packet_elems, m);
-  const int p = resolve_role_counts(opts).threads;
-
-  std::vector<StageGeometry> stages;
-  if (dims.size() == 2) {
-    auto s = make_2d_stages(dims[0], dims[1], mu);
-    stages.assign(s.begin(), s.end());
-  } else {
-    auto s = make_3d_stages(dims[0], dims[1], dims[2], mu);
-    stages.assign(s.begin(), s.end());
-  }
-
-  out->engine = engine_label(EngineKind::StageParallel);
-  out->threads = p;
-  out->compute_threads = p;
-  out->data_threads = 0;
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    // One un-tiled pass per stage: every thread transforms and rotates
-    // its whole row chunk, temporal stores, no pipeline.
-    StageModel st;
-    build_tiled_stage(stages[s], out->total, p, stages[s].rows(),
-                      /*pipelined=*/false, /*nt=*/false,
+    build_tiled_stage(plan.chain[s], out->total, plan.parts(),
+                      plan.block_rows[s], pipelined, plan.nontemporal,
                       "stage-" + std::to_string(s), &st);
     out->stages.push_back(std::move(st));
   }
@@ -368,9 +305,8 @@ bool build_plan_model(const std::vector<idx_t>& dims, const FftOptions& opts,
   }
   switch (opts.engine) {
     case EngineKind::DoubleBuffer:
-      return build_double_buffer(dims, opts, out, why);
     case EngineKind::StageParallel:
-      return build_stage_parallel(dims, opts, out, why);
+      return build_stage_chain(dims, opts, out, why);
     case EngineKind::Pencil:
       return build_pencil(dims, opts, out, why);
     case EngineKind::SlabPencil:

@@ -2,13 +2,19 @@
 
 #include <cstring>
 
+#include "analysis/hazard_checker.h"
 #include "common/error.h"
 #include "layout/rotate.h"
 #include "layout/stream_copy.h"
-#include "pipeline/pipeline.h"
+#include "obs/obs.h"
 #include "parallel/team_pool.h"
 
 namespace bwfft {
+
+namespace {
+[[maybe_unused]] constexpr const char* kStageNames[3] = {"stage-0", "stage-1",
+                                                         "stage-2"};
+}  // namespace
 
 DualSocketFft3d::DualSocketFft3d(idx_t k, idx_t n, idx_t m, Direction dir,
                                  const FftOptions& opts, int sockets)
@@ -18,54 +24,50 @@ DualSocketFft3d::DualSocketFft3d(idx_t k, idx_t n, idx_t m, Direction dir,
   BWFFT_CHECK(n_ % sk_ == 0, "socket count must divide n");
   ksl_ = k_ / sk_;
   nsl_ = n_ / sk_;
-  mu_ = resolve_packet_size(opts_.packet_elems, m_);
 
-  // Per-socket local stage geometry; rows/packets are per-slab. The cross-
-  // socket part of W^2/W^3 lives in the store index functions below.
-  stages_ = {StageGeometry{ksl_, n_, m_, 1, mu_},
-             StageGeometry{m_ / mu_, ksl_, n_, mu_, mu_},
-             StageGeometry{nsl_, m_ / mu_, k_, mu_, mu_}};
-  for (const auto& g : stages_) {
+  // Every socket runs the Table II pipeline over its share of the chain;
+  // the cross-socket part of W^2/W^3 lives in the store index functions
+  // of run_stage.
+  opts_.engine = EngineKind::DoubleBuffer;
+  plan_ = plan_stages({k_, n_, m_}, opts_, sk_);
+  BWFFT_CHECK(plan_.ok(), plan_.why);
+  for (const auto& g : plan_.chain) {
     ffts_.push_back(std::make_shared<Fft1d>(g.fft_len, dir_, opts_.isa));
   }
 
-  const auto [p, pc] = resolve_role_counts(opts_, sk_);
-  per_socket_threads_ = p;
-  socket_roles_ = make_role_plan(p, pc, opts_.topo);
-  team_ = parallel::make_team(per_socket_threads_ * sk_, {},
-                               opts_.team_pool);
-
+  const RolePlan roles =
+      make_role_plan(plan_.threads, plan_.compute, opts_.topo);
+  // Never pooled: its threads block in the socket teams' run(), which
+  // must not be the same team.
+  launcher_ = parallel::make_team(sk_, {}, /*pooled=*/false);
   // Buffer policy: each socket has its own LLC, so each gets the usual
   // half-LLC double buffer.
-  block_elems_ = opts_.block_elems > 0 ? opts_.block_elems
-                                       : default_block_elems(opts_.topo);
-  for (const auto& g : stages_) {
-    block_elems_ = std::max(block_elems_, g.row_elems());
-  }
   socket_.resize(static_cast<std::size_t>(sk_));
   for (auto& s : socket_) {
-    s.barrier = std::make_unique<SpinBarrier>(per_socket_threads_);
-    s.buffer = AlignedBuffer<cplx>(static_cast<std::size_t>(2 * block_elems_),
-                                   AllocPlacement::HugePage);
+    s.team = parallel::make_team(plan_.threads, {}, opts_.team_pool);
+    s.pipe = std::make_unique<DoubleBufferPipeline>(*s.team, roles,
+                                                    plan_.block_elems);
   }
 }
 
-void DualSocketFft3d::run_stage(int stage, NumaArray& src, NumaArray& dst) {
-  const StageGeometry& g = stages_[static_cast<std::size_t>(stage)];
-  const Fft1d& fft = *ffts_[static_cast<std::size_t>(stage)];
+void DualSocketFft3d::run_stage(std::size_t stage, NumaArray& src,
+                                NumaArray& dst) {
+  const StageGeometry& g = plan_.chain[stage];
+  const Fft1d& fft = *ffts_[stage];
   const idx_t row_elems = g.row_elems();
-  const idx_t block_rows = rows_per_block(g.rows(), block_elems_ / row_elems);
-  const idx_t iters = g.rows() / block_rows;
-  const bool nt = opts_.nontemporal;
+  const idx_t block_rows = plan_.block_rows[stage];
+  const idx_t mu = plan_.mu;
+  const bool nt = plan_.nontemporal;
 
   // Scatter one buffer row to its rotated destination. `row` is the
   // socket-local row index of the stage grid; `s` the owning socket.
-  auto store_row = [&](int s, idx_t row, const cplx* src_row,
-                       std::size_t& cross_bytes) {
+  // Returns the bytes that crossed to another socket's domain.
+  auto store_row = [&](int s, idx_t row, const cplx* src_row) {
+    std::size_t cross_bytes = 0;
     switch (stage) {
       case 0: {
         // W^1: local blocked rotation within the slab (Fig 8 stage 1).
-        rotate_store_rows(src_row, dst.slab(s), row, 1, g.a, g.b, g.cp(), mu_,
+        rotate_store_rows(src_row, dst.slab(s), row, 1, g.a, g.b, g.cp(), mu,
                           nt);
         break;
       }
@@ -77,89 +79,65 @@ void DualSocketFft3d::run_stage(int stage, NumaArray& src, NumaArray& dst) {
         for (idx_t y = 0; y < n_; ++y) {
           const int dy = static_cast<int>(y / nsl_);
           const idx_t off =
-              ((y % nsl_) * (m_ / mu_) + xp) * k_ * mu_ + (s * ksl_ + zl) * mu_;
-          store_packet(dst.slab(dy) + off, src_row + y * mu_, mu_, nt);
-          if (dy != s) cross_bytes += static_cast<std::size_t>(mu_) * sizeof(cplx);
+              ((y % nsl_) * (m_ / mu) + xp) * k_ * mu + (s * ksl_ + zl) * mu;
+          store_packet(dst.slab(dy) + off, src_row + y * mu, mu, nt);
+          if (dy != s) cross_bytes += static_cast<std::size_t>(mu) * sizeof(cplx);
         }
         break;
       }
       default: {
         // W^3: local rotation + exchange back to the natural order
         // distributed by z.
-        const idx_t yl = row / (m_ / mu_);
-        const idx_t xp = row % (m_ / mu_);
+        const idx_t yl = row / (m_ / mu);
+        const idx_t xp = row % (m_ / mu);
         const idx_t y = s * nsl_ + yl;
         for (idx_t z = 0; z < k_; ++z) {
           const int dz = static_cast<int>(z / ksl_);
-          const idx_t off = ((z % ksl_) * n_ + y) * m_ + xp * mu_;
-          store_packet(dst.slab(dz) + off, src_row + z * mu_, mu_, nt);
-          if (dz != s) cross_bytes += static_cast<std::size_t>(mu_) * sizeof(cplx);
+          const idx_t off = ((z % ksl_) * n_ + y) * m_ + xp * mu;
+          store_packet(dst.slab(dz) + off, src_row + z * mu, mu, nt);
+          if (dz != s) cross_bytes += static_cast<std::size_t>(mu) * sizeof(cplx);
         }
         break;
       }
     }
+    return cross_bytes;
   };
 
-  team_->run([&](int tid) {
-    const int s = tid / per_socket_threads_;
-    const int lt = tid % per_socket_threads_;
-    const bool is_compute = socket_roles_.is_compute(lt);
-    const int rank = socket_roles_.group_rank(lt);
-    SocketState& st = socket_[static_cast<std::size_t>(s)];
-    cplx* buf0 = st.buffer.data();
-    cplx* buf1 = st.buffer.data() + block_elems_;
+  // The per-socket runner: socket s streams its local slab of `src`
+  // through its own pipeline.
+  auto run_socket = [&](int s) {
     const cplx* local_src = src.slab(s);
-    std::size_t cross_bytes = 0;
-
-    auto do_load = [&](idx_t i, cplx* buf, int parts) {
+    PipelineStage ps;
+    ps.iterations = plan_.iterations(stage);
+    ps.load = [&, local_src](idx_t i, cplx* buf, int rank, int parts) {
       auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
       if (r1 > r0) {
         std::memcpy(buf + r0 * row_elems,
                     local_src + (i * block_rows + r0) * row_elems,
                     static_cast<std::size_t>((r1 - r0) * row_elems) *
                         sizeof(cplx));
+        BWFFT_OBS_COUNT(BytesLoaded, (r1 - r0) * row_elems * sizeof(cplx));
       }
     };
-    auto do_compute = [&](cplx* buf, int parts) {
+    ps.compute = [&](idx_t, cplx* buf, int rank, int parts) {
       auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
       if (r1 > r0) fft.apply_lanes(buf + r0 * row_elems, g.lanes, r1 - r0);
     };
-    auto do_store = [&](idx_t i, const cplx* buf, int parts) {
+    ps.store = [&, s](idx_t i, const cplx* buf, int rank, int parts) {
       auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
+      std::size_t cross_bytes = 0;
       for (idx_t r = r0; r < r1; ++r) {
-        store_row(s, i * block_rows + r, buf + r * row_elems, cross_bytes);
+        cross_bytes += store_row(s, i * block_rows + r, buf + r * row_elems);
       }
+      BWFFT_OBS_COUNT(BytesStored, (r1 - r0) * row_elems * sizeof(cplx));
+      if (cross_bytes > 0) traffic_.record_write(cross_bytes);
     };
+    analysis::execute_self_checked(
+        *socket_[static_cast<std::size_t>(s)].pipe, ps);
+  };
 
-    if (socket_roles_.data == 0) {
-      // Single-threaded (or compute-only) socket: sequential per block.
-      const int parts = socket_roles_.compute;
-      for (idx_t i = 0; i < iters; ++i) {
-        cplx* buf = (i % 2 == 0) ? buf0 : buf1;
-        do_load(i, buf, parts);
-        st.barrier->arrive_and_wait();
-        do_compute(buf, parts);
-        st.barrier->arrive_and_wait();
-        do_store(i, buf, parts);
-        st.barrier->arrive_and_wait();
-      }
-    } else {
-      // Table II within the socket.
-      for (idx_t step = 0; step < iters + 2; ++step) {
-        cplx* stepbuf = (step % 2 == 0) ? buf0 : buf1;
-        if (!is_compute) {
-          if (step >= 2) do_store(step - 2, stepbuf, socket_roles_.data);
-          if (step < iters) do_load(step, stepbuf, socket_roles_.data);
-          stream_fence();
-        } else if (step >= 1 && step <= iters) {
-          cplx* other = (step % 2 == 0) ? buf1 : buf0;
-          do_compute(other, socket_roles_.compute);
-        }
-        st.barrier->arrive_and_wait();
-      }
-    }
-    if (cross_bytes > 0) traffic_.record_write(cross_bytes);
-  });
+  BWFFT_OBS_SCOPE(obs_stage, kStageNames[stage], 'G', g.rows() * sk_);
+  launcher_->run(run_socket);
 }
 
 void DualSocketFft3d::execute_distributed(NumaArray& x, NumaArray& y) {
@@ -172,11 +150,10 @@ void DualSocketFft3d::execute_distributed(NumaArray& x, NumaArray& y) {
   run_stage(1, y, x);  // exchange: full-z pencils distributed by y
   run_stage(2, x, y);  // exchange: natural order distributed by z
   if (dir_ == Direction::Inverse && opts_.normalize_inverse) {
-    const double sc = 1.0 / static_cast<double>(size());
-    for (int d = 0; d < sk_; ++d) {
-      cplx* slab = y.slab(d);
-      for (idx_t i = 0; i < y.elems_per_domain(); ++i) slab[i] *= sc;
-    }
+    launcher_->run([&](int s) {
+      scale_inverse(*socket_[static_cast<std::size_t>(s)].team, y.slab(s),
+                    y.elems_per_domain(), size());
+    });
   }
 }
 

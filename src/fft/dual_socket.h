@@ -6,11 +6,13 @@
 // rotation stays inside the slab, Table III W^1), while stages 2 and 3
 // write across the interconnect (W^2 reassembles full-z pencils
 // distributed by y; W^3 restores the natural order distributed by z).
-// Within each socket the stage runs the same Table II software pipeline as
-// the single-socket engine, with the socket's own compute/data threads,
-// cache buffer and barrier. Cross-socket write traffic is recorded so the
-// harness can apply the QPI/HT bandwidth term of the paper's Fig 10
-// analysis.
+// Within each socket the stage runs the single-socket engine's Table II
+// pipeline on the socket's own thread team, cache buffer and barrier —
+// the pipeline's fences, obs slices, fault sites, abort-on-throw and
+// self-audit included — with all sockets' pipelines running at once. The
+// per-socket stage chain comes from plan_stages(). Cross-socket write
+// traffic is recorded so the harness can apply the QPI/HT bandwidth term
+// of the paper's Fig 10 analysis.
 #pragma once
 
 #include <memory>
@@ -19,10 +21,9 @@
 #include "fft/engine.h"
 #include "fft/stage.h"
 #include "fft1d/fft1d.h"
-#include "parallel/barrier.h"
 #include "parallel/numa.h"
-#include "parallel/roles.h"
 #include "parallel/team.h"
+#include "pipeline/pipeline.h"
 
 namespace bwfft {
 
@@ -48,25 +49,25 @@ class DualSocketFft3d {
   const LinkTraffic& traffic() const { return traffic_; }
 
  private:
-  struct SocketState {
-    std::unique_ptr<SpinBarrier> barrier;
-    AlignedBuffer<cplx> buffer;  // two halves of block_elems each
+  /// One socket's pipeline on its own team. Teams are private unless
+  /// FftOptions::team_pool is set, in which case the sockets share one
+  /// pooled team and take turns.
+  struct Socket {
+    std::shared_ptr<ThreadTeam> team;
+    std::unique_ptr<DoubleBufferPipeline> pipe;
   };
 
-  void run_stage(int stage, NumaArray& src, NumaArray& dst);
+  void run_stage(std::size_t s, NumaArray& src, NumaArray& dst);
 
-  idx_t k_, n_, m_, mu_;
-  idx_t ksl_, nsl_;  // per-socket slab extents k/sk, n/sk
+  idx_t k_, n_, m_;
+  idx_t ksl_ = 1, nsl_ = 1;  // per-socket slab extents k/sk, n/sk
   Direction dir_;
   FftOptions opts_;
   int sk_;
-  std::array<StageGeometry, 3> stages_;  // per-socket local geometry
+  StagePlan plan_;  // one socket's share of the chain
   std::vector<std::shared_ptr<Fft1d>> ffts_;
-  std::shared_ptr<ThreadTeam> team_;  // pooled or private (FftOptions::team_pool)
-  int per_socket_threads_ = 1;
-  RolePlan socket_roles_;
-  idx_t block_elems_ = 0;
-  std::vector<SocketState> socket_;
+  std::shared_ptr<ThreadTeam> launcher_;  // one thread per socket
+  std::vector<Socket> socket_;
   LinkTraffic traffic_;
 };
 

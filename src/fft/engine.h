@@ -9,6 +9,8 @@
 
 namespace bwfft {
 
+class ThreadTeam;
+
 class MdEngine {
  public:
   virtual ~MdEngine() = default;
@@ -25,5 +27,10 @@ class MdEngine {
 /// => [k, n, m] 3D cube, slowest first).
 std::unique_ptr<MdEngine> make_engine(const std::vector<idx_t>& dims,
                                       Direction dir, const FftOptions& opts);
+
+/// The 1/N normalisation of an inverse transform of `n` points
+/// (FftOptions::normalize_inverse): out[0, count) *= 1/n, split across
+/// the team. count < n when the output is spread over NUMA slabs.
+void scale_inverse(ThreadTeam& team, cplx* out, idx_t count, idx_t n);
 
 }  // namespace bwfft

@@ -8,12 +8,11 @@
 
 #include "common/error.h"
 #include "fault/fault.h"
-#include "fft/double_buffer.h"
 #include "fft/pencil.h"
 #include "fft1d/large.h"
 #include "fft/reference.h"
 #include "fft/slab_pencil.h"
-#include "fft/stage_parallel.h"
+#include "fft/stage_chain.h"
 #include "layout/stream_copy.h"
 #include "obs/obs.h"
 #include "tune/tuner.h"
@@ -203,11 +202,10 @@ std::unique_ptr<MdEngine> make_engine(const std::vector<idx_t>& dims,
     case EngineKind::Pencil:
       return std::make_unique<PencilEngine>(dims, dir, opts);
     case EngineKind::StageParallel:
-      return std::make_unique<StageParallelEngine>(dims, dir, opts);
+    case EngineKind::DoubleBuffer:
+      return std::make_unique<StageChainEngine>(dims, dir, opts);
     case EngineKind::SlabPencil:
       return std::make_unique<SlabPencilEngine>(dims, dir, opts);
-    case EngineKind::DoubleBuffer:
-      return std::make_unique<DoubleBufferEngine>(dims, dir, opts);
     case EngineKind::Auto:
       // The planner picks the engine and knobs (wisdom first, then the
       // cost model / measurement ladder); the resolved options are
@@ -215,6 +213,13 @@ std::unique_ptr<MdEngine> make_engine(const std::vector<idx_t>& dims,
       return make_engine(dims, dir, tune::resolve_auto(dims, dir, opts));
   }
   throw Error("unknown engine kind");
+}
+
+void scale_inverse(ThreadTeam& team, cplx* out, idx_t count, idx_t n) {
+  const double s = 1.0 / static_cast<double>(n);
+  parallel_for_chunks(team, count, [&](int, idx_t b, idx_t e) {
+    for (idx_t i = b; i < e; ++i) out[i] *= s;
+  });
 }
 
 namespace {

@@ -88,10 +88,7 @@ void PencilEngine::execute(cplx* in, cplx* out) {
   }
 
   if (dir_ == Direction::Inverse && opts_.normalize_inverse) {
-    const double s = 1.0 / static_cast<double>(total_);
-    parallel_for_chunks(*team_, total_, [&](int, idx_t b, idx_t e) {
-      for (idx_t i = b; i < e; ++i) out[i] *= s;
-    });
+    scale_inverse(*team_, out, total_, total_);
   }
 }
 

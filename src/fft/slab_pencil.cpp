@@ -82,10 +82,7 @@ void SlabPencilEngine::execute(cplx* in, cplx* out) {
   }
 
   if (dir_ == Direction::Inverse && opts_.normalize_inverse) {
-    const double s = 1.0 / static_cast<double>(total_);
-    parallel_for_chunks(*team_, total_, [&](int, idx_t bb, idx_t ee) {
-      for (idx_t i = bb; i < ee; ++i) out[i] *= s;
-    });
+    scale_inverse(*team_, out, total_, total_);
   }
 }
 

@@ -8,10 +8,10 @@
 #include <random>
 
 #include "common/rng.h"
-#include "fft/double_buffer.h"
 #include "fft/fft.h"
 #include "fft/reference.h"
 #include "fft/stage.h"
+#include "fft/stage_chain.h"
 #include "kernels/isa.h"
 #include "test_util.h"
 
@@ -200,25 +200,32 @@ TEST(EngineReuse, MovedPlanStillWorks) {
 
 TEST(EngineStats, StageStatsPopulated) {
   const idx_t k = 8, n = 8, m = 16;
-  FftOptions o = base_opts();
-  DoubleBufferEngine eng({k, n, m}, Direction::Forward, o);
-  auto x = random_cvec(k * n * m, 7600);
-  cvec out(x.size());
-  eng.execute(x.data(), out.data());
-  const auto& st = eng.last_stats();
-  ASSERT_EQ(3u, st.size());
-  idx_t covered = 0;
-  for (const auto& s : st) {
-    EXPECT_GE(s.seconds, 0.0);
-    EXPECT_GE(s.iterations, 1);
-    EXPECT_GE(s.block_rows, 1);
-    covered += s.iterations * s.block_rows;
+  for (EngineKind e : {EngineKind::DoubleBuffer, EngineKind::StageParallel}) {
+    FftOptions o = base_opts();
+    o.engine = e;
+    StageChainEngine eng({k, n, m}, Direction::Forward, o);
+    auto x = random_cvec(k * n * m, 7600);
+    cvec out(x.size());
+    eng.execute(x.data(), out.data());
+    const StagePlan& plan = eng.plan();
+    const auto& st = eng.last_stats();
+    ASSERT_EQ(3u, st.size()) << engine_name(e);
+    idx_t covered = 0;
+    for (std::size_t s = 0; s < st.size(); ++s) {
+      EXPECT_GE(st[s].seconds, 0.0);
+      EXPECT_EQ(plan.iterations(s), st[s].iterations) << engine_name(e);
+      EXPECT_EQ(plan.block_rows[s], st[s].block_rows) << engine_name(e);
+      covered += st[s].iterations * st[s].block_rows;
+    }
+    if (e == EngineKind::StageParallel) {
+      // Lockstep: one un-tiled pass per stage.
+      for (const auto& s : st) EXPECT_EQ(1, s.iterations);
+    }
+    // Each stage covers all of its rows; total rows over 3 stages, with
+    // the packet the plan resolved for the dispatched ISA.
+    const idx_t mu = plan.mu;
+    EXPECT_EQ(k * n + (m / mu) * k + n * (m / mu), covered) << engine_name(e);
   }
-  // Each stage covers all of its rows; total rows over 3 stages. The
-  // auto packet width depends on the dispatched ISA, so derive it the
-  // same way the engine does.
-  const idx_t mu = resolve_packet_size(o.packet_elems, m);
-  EXPECT_EQ(k * n + (m / mu) * k + n * (m / mu), covered);
 }
 
 // Seeded random shape/engine sweep — a lightweight fuzz of the planner.

@@ -6,10 +6,10 @@
 
 #include "analysis/static_verify.h"
 #include "common/rng.h"
-#include "fft/double_buffer.h"
 #include "fft/dual_socket.h"
 #include "fft/fft.h"
 #include "fft/reference.h"
+#include "fft/stage_chain.h"
 #include "fft1d/large.h"
 #include "test_util.h"
 
@@ -253,7 +253,7 @@ TEST(EngineErrors, OutOfRangeComputeThreadsIsBadPlan) {
   o.threads = 4;
   o.compute_threads = 5;
   EXPECT_EQ(ErrorCode::kBadPlan, thrown_code([&] {
-              DoubleBufferEngine({8, 8, 8}, Direction::Forward, o);
+              StageChainEngine({8, 8, 8}, Direction::Forward, o);
             }));
   EXPECT_EQ(ErrorCode::kBadPlan, thrown_code([&] {
               DualSocketFft3d(8, 8, 8, Direction::Forward, o, 2);
@@ -265,9 +265,16 @@ TEST(EngineErrors, OutOfRangeComputeThreadsIsBadPlan) {
   std::string why;
   EXPECT_FALSE(analysis::build_plan_model({8, 8, 8}, o, &model, &why));
   EXPECT_EQ("compute_threads outside [0, threads]", why);
+  // Stage-parallel has no role split: it ignores compute_threads.
+  FftOptions sp = o;
+  sp.engine = EngineKind::StageParallel;
+  EXPECT_EQ(ErrorCode::kOk, thrown_code([&] {
+              StageChainEngine({8, 8, 8}, Direction::Forward, sp);
+            }));
+  EXPECT_TRUE(analysis::build_plan_model({8, 8, 8}, sp, &model, &why)) << why;
   o.compute_threads = 4;  // p_d = 0 is legal: the degraded schedule
   EXPECT_EQ(ErrorCode::kOk, thrown_code([&] {
-              DoubleBufferEngine({8, 8, 8}, Direction::Forward, o);
+              StageChainEngine({8, 8, 8}, Direction::Forward, o);
             }));
 }
 

@@ -12,6 +12,7 @@
 #include "analysis/static_verify.h"
 #include "common/rng.h"
 #include "common/topology.h"
+#include "fft/stage_chain.h"
 #include "parallel/roles.h"
 #include "parallel/team.h"
 #include "pipeline/pipeline.h"
@@ -160,6 +161,44 @@ TEST(CrossCheck, RealPipelineTraceAcceptedBySymbolicChecker) {
   EXPECT_TRUE(sym.clean()) << sym.str();
   const auto dyn = analysis::audit_schedule(trace, iters, roles);
   EXPECT_TRUE(dyn.clean()) << dyn.str();
+}
+
+// The static model and the executing engine read one plan: over a grid of
+// shapes, schedules, role splits and block sizes, the per-stage iteration
+// counts build_plan_model derives equal the ones the engine ran.
+TEST(CrossCheck, PlanModelIterationsMatchEngineStats) {
+  const std::vector<std::vector<idx_t>> shapes = {
+      {64, 64}, {48, 80}, {16, 16, 16}, {8, 16, 32}};
+  for (const auto& dims : shapes) {
+    idx_t total = 1;
+    for (idx_t d : dims) total *= d;
+    for (EngineKind e : {EngineKind::DoubleBuffer, EngineKind::StageParallel}) {
+      for (int p : {1, 2, 4}) {
+        for (int pc : {-1, 0, p}) {
+          for (idx_t block : {idx_t{0}, idx_t{256}}) {
+            FftOptions o;
+            o.engine = e;
+            o.threads = p;
+            o.compute_threads = pc;
+            o.block_elems = block;
+            analysis::PlanModel model;
+            std::string why;
+            ASSERT_TRUE(analysis::build_plan_model(dims, o, &model, &why))
+                << why;
+            StageChainEngine eng(dims, Direction::Forward, o);
+            cvec in = random_cvec(total, 12), out(in.size());
+            eng.execute(in.data(), out.data());
+            const auto& st = eng.last_stats();
+            ASSERT_EQ(model.stages.size(), st.size());
+            for (std::size_t s = 0; s < st.size(); ++s) {
+              EXPECT_EQ(model.stages[s].iterations, st[s].iterations)
+                  << model.label() << " block=" << block << " stage " << s;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

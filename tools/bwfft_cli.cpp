@@ -36,9 +36,9 @@
 #include "common/timer.h"
 #include "exec/batch_executor.h"
 #include "fault/fault.h"
-#include "fft/double_buffer.h"
 #include "fft/fft.h"
 #include "fft/reference.h"
+#include "fft/stage.h"
 #include "kernels/isa.h"
 #include "obs/obs.h"
 #include "stream/stream.h"
@@ -388,16 +388,20 @@ int main(int argc, char** argv) {
           2.0 * static_cast<double>(total) * sizeof(cplx);
       const auto roof = obs::roofline_from_trace(slices, stage_bytes, bw);
       if (!roof.empty()) obs::print_roofline(roof, bw);
-      if (kind == EngineKind::DoubleBuffer && a.dims.size() >= 2) {
-        DoubleBufferEngine eng(a.dims, dir, opts);
-        std::copy(original.begin(), original.end(), in.begin());
-        eng.execute(in.data(), out.data());
-        const auto& st = eng.last_stats();
-        for (std::size_t s = 0; s < st.size(); ++s) {
-          std::printf("  stage %zu: %.3f ms, %lld iters x %lld rows/block\n",
-                      s, st[s].seconds * 1e3,
-                      static_cast<long long>(st[s].iterations),
-                      static_cast<long long>(st[s].block_rows));
+      // Stage tiling from the plan the engine ran; the times are the
+      // traced (warm) stage slices of the roofline above.
+      if ((kind == EngineKind::DoubleBuffer ||
+           kind == EngineKind::StageParallel) &&
+          a.dims.size() >= 2) {
+        const StagePlan plan = plan_stages(a.dims, opts);
+        for (std::size_t s = 0; s < plan.chain.size(); ++s) {
+          std::printf("  stage %zu: %lld iters x %lld rows/block", s,
+                      static_cast<long long>(plan.iterations(s)),
+                      static_cast<long long>(plan.block_rows[s]));
+          if (s < roof.size()) {
+            std::printf(", %.3f ms traced", roof[s].seconds * 1e3);
+          }
+          std::printf("\n");
         }
       }
     }
