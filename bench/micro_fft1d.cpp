@@ -23,7 +23,29 @@ void BM_BatchContig(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * count);
 }
-BENCHMARK(BM_BatchContig)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_BatchContig)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(32768);
+
+// The same one-lane batch on the scalar table: the gap to BM_BatchContig
+// is what the unit-stride level-0 codelet's SIMD width buys.
+void BM_BatchContigScalarForced(benchmark::State& state) {
+  const idx_t n = state.range(0);
+  const idx_t count = std::max<idx_t>((1 << 16) / n, 1);
+  Fft1d plan(n, Direction::Forward);
+  cvec data = random_cvec(n * count);
+  kernels::set_isa_override(kernels::Isa::Scalar);
+  for (auto _ : state) {
+    plan.apply_batch(data.data(), count);
+    benchmark::DoNotOptimize(data.data());
+  }
+  kernels::set_isa_override(kernels::Isa::Auto);
+  state.SetItemsProcessed(state.iterations() * n * count);
+}
+BENCHMARK(BM_BatchContigScalarForced)->Arg(4096);
 
 void BM_LanesCacheline(benchmark::State& state) {
   const idx_t n = state.range(0);

@@ -41,9 +41,14 @@ Fft1d::Fft1d(idx_t n, Direction dir, kernels::Isa isa)
     : n_(n), dir_(dir), isa_(isa) {
   BWFFT_CHECK(n >= 1, "FFT size must be >= 1");
   // Each Stockham level is executed by the batched radix-r codelet with
-  // the per-packet twiddle rows precomputed here.
+  // the per-packet twiddle rows precomputed here. Level 0 also keeps a
+  // split lane-major copy for the unit-stride codelet, which runs it
+  // whenever the tile has one lane.
+  const std::vector<idx_t> radices = stockham_radices(n_);
+  const std::size_t levels = radices.size();
   idx_t len = n_;
-  for (const idx_t r : stockham_radices(n_)) {
+  for (std::size_t i = 0; i < levels; ++i) {
+    const idx_t r = radices[i];
     const idx_t q = len / r;
     StockhamLevel lvl;
     lvl.radix = r;
@@ -54,6 +59,20 @@ Fft1d::Fft1d(idx_t n, Direction dir, kernels::Isa isa)
             root_of_unity(len, (k * p) % len, dir_);
       }
     }
+    if (i == 0) {
+      unit_tw_.resize(static_cast<std::size_t>(2 * (r - 1) * q));
+      for (idx_t k = 1; k < r; ++k) {
+        for (idx_t p = 0; p < q; ++p) {
+          const cplx w = lvl.tw[static_cast<std::size_t>((r - 1) * p + (k - 1))];
+          unit_tw_[static_cast<std::size_t>((2 * k - 2) * q + p)] = w.real();
+          unit_tw_[static_cast<std::size_t>((2 * k - 1) * q + p)] = w.imag();
+        }
+      }
+    }
+    // Ping-pong scratch -> tile -> scratch ...; an odd count's last level
+    // (q == 1) writes the tile in place instead of leaving the result in
+    // scratch.
+    lvl.to_tile = i % 2 == 1 || i + 1 == levels;
     slevels_.push_back(std::move(lvl));
     len = q;
   }
@@ -98,28 +117,37 @@ void Fft1d::stockham_tile(cplx* tile, cplx* scratch, idx_t lanes,
   // A level of radix r splits sub-length `len` into q = len/r input
   // packets at stride s: the batched codelet reads rows src + s*(p + j*q)
   // (row stride s*q), writes rows dst + s*(r*p + k) (row stride s), and
-  // scales output row k by w_len^{p*k} — afterwards len /= r, s *= r, and
-  // the buffers swap. The result is copied back if it ends in scratch.
-  cplx* src = tile;
-  cplx* dst = scratch;
+  // scales output row k by w_len^{p*k} — afterwards len /= r and s *= r.
+  // At s == 1 (level 0 of a one-lane tile) a row is a single element, so
+  // the unit-stride codelet runs the level SIMD across its q packets
+  // instead. Each level writes the buffer its plan names (to_tile).
+  const cplx* src = tile;
   idx_t len = n_;
   idx_t s = lanes;
   for (const StockhamLevel& lvl : slevels_) {
     const idx_t r = lvl.radix;
     const idx_t q = len / r;
-    const kernels::BatchFn fn = bt.fn[r];
-    const cplx* tw = lvl.tw.data();
-    fn(src, s * q, dst, s, s, nullptr, dir_);  // p = 0: unit twiddles
-    for (idx_t p = 1; p < q; ++p) {
-      fn(src + s * p, s * q, dst + s * r * p, s, s, tw + (r - 1) * p, dir_);
+    cplx* dst = lvl.to_tile ? tile : scratch;
+    if (s == 1) {
+      bt.unit[r](src, dst, q, unit_tw_.data(), dir_);
+    } else {
+      const kernels::BatchFn fn = bt.fn[r];
+      const cplx* tw = lvl.tw.data();
+      fn(src, s * q, dst, s, s, nullptr, dir_);  // p = 0: unit twiddles
+      for (idx_t p = 1; p < q; ++p) {
+        fn(src + s * p, s * q, dst + s * r * p, s, s, tw + (r - 1) * p, dir_);
+      }
     }
     len = q;
     s *= r;
-    std::swap(src, dst);
+    src = dst;
   }
-  if (src != tile) {
-    std::memcpy(tile, src, static_cast<std::size_t>(n_ * lanes) * sizeof(cplx));
-  }
+}
+
+std::vector<bool> Fft1d::stockham_targets() const {
+  std::vector<bool> out;
+  for (const StockhamLevel& lvl : slevels_) out.push_back(lvl.to_tile);
+  return out;
 }
 
 void Fft1d::apply_lanes(cplx* data, idx_t lanes, idx_t count) const {

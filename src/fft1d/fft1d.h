@@ -14,7 +14,9 @@
 //    cpuid).
 //
 //  * apply_batch(data, count) — lanes = 1 special case (I_count (x) DFT_n),
-//    the stage-1 kernel operating on contiguous pencils.
+//    the stage-1 kernel operating on contiguous pencils. Its first
+//    Stockham level runs the unit-stride codelet (kernels::UnitFn), SIMD
+//    across that level's butterflies instead of across lanes.
 //
 //  * apply_strided_inplace(data, stride) — a single pencil transformed in
 //    place at an element stride, the access pattern of the *naive* pencil
@@ -82,6 +84,13 @@ class Fft1d {
   /// kept separate so engines can fold it into whichever pass they like.
   void scale_inverse(cplx* data, idx_t count) const;
 
+  /// Test hook: the buffer each Stockham level writes, in level order
+  /// (true = the caller's tile, false = per-thread scratch). Execution
+  /// follows exactly this routing, and its last entry is always true: no
+  /// plan copies its result back out of scratch. Empty for n == 1 and for
+  /// Bluestein sizes.
+  std::vector<bool> stockham_targets() const;
+
  private:
   void stockham_tile(cplx* tile, cplx* scratch, idx_t lanes,
                      const kernels::BatchTable& bt) const;
@@ -93,16 +102,20 @@ class Fft1d {
   /// radix-4/2 schedule takes four. Twiddles are laid out
   /// per output packet p: tw[(r-1)*p + (k-1)] = w_len^{p*k}, exactly the
   /// `tw` row the batched codelet ABI consumes; packet p = 0 has unit
-  /// twiddles and is passed tw = nullptr.
+  /// twiddles and is passed tw = nullptr. Levels alternate scratch/tile
+  /// targets; with an odd level count the last level (q == 1, so its
+  /// in and out row strides match) runs in place on the tile instead.
   struct StockhamLevel {
     idx_t radix;
     cvec tw;
+    bool to_tile;  // writes the caller's tile (else per-thread scratch)
   };
 
   idx_t n_;
   Direction dir_;
   kernels::Isa isa_;                // dispatch request (Auto = decide late)
   std::vector<StockhamLevel> slevels_;  // Stockham schedule (13-smooth n)
+  dvec unit_tw_;  // level 0's twiddles, split lane-major (kernels::UnitFn)
   cvec dit_tw_;                     // DIT twiddles w_n^j, j < n/2 (pow2)
   std::vector<idx_t> bitrev_;       // bit-reversal permutation (pow2)
 

@@ -37,10 +37,25 @@ namespace bwfft::kernels {
 using BatchFn = void (*)(const cplx* in, idx_t is, cplx* out, idx_t os,
                          idx_t lanes, const cplx* tw, Direction dir);
 
-/// Dispatch table of one ISA: fn[n] for n = 2..kMaxCodelet (16); fn[0]
-/// and fn[1] are null (a 1-point DFT is the identity).
+/// Unit-stride twiddled codelet: the s = 1 level of a Stockham schedule
+/// (a lanes = 1 transform's first level), SIMD across its q butterflies
+/// (the packets p) instead of across lanes:
+///   out[r*p + k] = w(p, k) * sum_j w_r^{jk} in[p + j*q]      for p < q
+/// where w(p, 0) = 1 and, for k >= 1, w(p, k) is read lane-major in SPLIT
+/// format: real part tw[(2k-2)*q + p], imaginary part tw[(2k-1)*q + p].
+/// A register chunk of consecutive packets loads each input row as one
+/// contiguous vector and stores its packets' r outputs contiguously
+/// through an L1 transpose; q below the vector width cascades down the
+/// same Tail widths as BatchFn's lanes. In-place operation (out == in)
+/// is allowed iff q == 1.
+using UnitFn = void (*)(const cplx* in, cplx* out, idx_t q, const double* tw,
+                        Direction dir);
+
+/// Dispatch table of one ISA: fn[n] and unit[n] for n = 2..kMaxCodelet
+/// (16); entries 0 and 1 are null (a 1-point DFT is the identity).
 struct BatchTable {
   BatchFn fn[codelets::kMaxCodelet + 1] = {};
+  UnitFn unit[codelets::kMaxCodelet + 1] = {};
 };
 
 /// Table of a concrete ISA. Requests the host cannot execute (or that

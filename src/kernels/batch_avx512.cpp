@@ -39,6 +39,7 @@ struct Avx512Backend {
     return _mm512_castsi512_pd(
         _mm512_xor_epi64(_mm512_castpd_si512(a), sign));
   }
+  static V load(const double* p) { return _mm512_loadu_pd(p); }
   static void loadc(const cplx* p, V& re, V& im) {
     const auto* q = reinterpret_cast<const double*>(p);
     const __m512d a = _mm512_loadu_pd(q);      // r0 i0 .. r3 i3

@@ -15,9 +15,14 @@
 //     static V fmadd(V a, V b, V c);          // a*b + c
 //     static V fmsub(V a, V b, V c);          // a*b - c
 //     static V neg(V);
+//     static V load(const double* p);                   // kWidth doubles
 //     static void loadc(const cplx* p, V& re, V& im);   // deinterleave
 //     static void storec(cplx* p, V re, V im);          // interleave
 //   };
+//
+// Each body is stamped out twice per ISA: run (BatchFn, SIMD across
+// lanes) and run_unit (UnitFn, SIMD across the packets of a unit-stride
+// Stockham level, with per-lane twiddles read through load).
 //
 // Interleaved complex enters and leaves through loadc/storec (the only
 // shuffles in the kernel); every butterfly in between runs on split
@@ -35,6 +40,7 @@
 #pragma once
 
 #include <cmath>
+#include <utility>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -305,7 +311,10 @@ namespace {
 
 /// Portable width-1 backend; also the tail path of every SIMD backend
 /// (where it inherits the TU's target flags — safe, because that tail
-/// only runs after cpuid approved the TU's ISA).
+/// only runs after cpuid approved the TU's ISA). fmadd/fmsub round once
+/// (std::fma: one instruction when the TU targets FMA, libm otherwise),
+/// exactly like a SIMD lane, so every ISA's table produces bit-identical
+/// outputs.
 struct ScalarBackend {
   static constexpr idx_t kWidth = 1;
   using Tail = ScalarBackend;  // terminates the cascade
@@ -314,9 +323,10 @@ struct ScalarBackend {
   static V add(V a, V b) { return a + b; }
   static V sub(V a, V b) { return a - b; }
   static V mul(V a, V b) { return a * b; }
-  static V fmadd(V a, V b, V c) { return a * b + c; }
-  static V fmsub(V a, V b, V c) { return a * b - c; }
+  static V fmadd(V a, V b, V c) { return std::fma(a, b, c); }
+  static V fmsub(V a, V b, V c) { return std::fma(a, b, -c); }
   static V neg(V a) { return -a; }
+  static V load(const double* p) { return *p; }
   static void loadc(const cplx* p, V& re, V& im) {
     re = p->real();
     im = p->imag();
@@ -344,6 +354,7 @@ struct Sse2Backend {
   static V fmsub(V a, V b, V c) { return _mm_sub_pd(_mm_mul_pd(a, b), c); }
 #endif
   static V neg(V a) { return _mm_xor_pd(a, _mm_set1_pd(-0.0)); }
+  static V load(const double* p) { return _mm_loadu_pd(p); }
   static void loadc(const cplx* p, V& re, V& im) {
     const auto* q = reinterpret_cast<const double*>(p);
     const __m128d ab = _mm_loadu_pd(q);      // r0 i0
@@ -373,6 +384,7 @@ struct Avx2Backend {
   static V fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
   static V fmsub(V a, V b, V c) { return _mm256_fmsub_pd(a, b, c); }
   static V neg(V a) { return _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
+  static V load(const double* p) { return _mm256_loadu_pd(p); }
   static void loadc(const cplx* p, V& re, V& im) {
     const auto* q = reinterpret_cast<const double*>(p);
     const __m256d ab = _mm256_loadu_pd(q);      // r0 i0 r1 i1
@@ -429,24 +441,70 @@ void run(const cplx* in, idx_t is, cplx* out, idx_t os, idx_t lanes,
   }
 }
 
+/// Store the split chunks y[0..N) of kWidth consecutive packets so that
+/// each packet's N outputs are contiguous: out[N*l + k] = lane l of y[k].
+/// Width 1 stores directly; wider backends interleave into an on-stack
+/// N x kWidth tile (L1-resident) and copy it out transposed.
+template <class B, idx_t N>
+inline void store_packets(cplx* out, const CV<B>* y) {
+  if constexpr (B::kWidth == 1) {
+    for (idx_t k = 0; k < N; ++k) cv_store<B>(out + k, y[k]);
+  } else {
+    constexpr idx_t W = B::kWidth;
+    alignas(64) cplx tile[N * W];
+    for (idx_t k = 0; k < N; ++k) cv_store<B>(tile + k * W, y[k]);
+    for (idx_t l = 0; l < W; ++l) {
+      for (idx_t k = 0; k < N; ++k) out[l * N + k] = tile[k * W + l];
+    }
+  }
+}
+
+/// `count` packets of a unit-stride level whose input rows and twiddle
+/// rows are q long; the remainder below kWidth cascades down Tail exactly
+/// like run_dir's lanes.
+template <class B, idx_t N, int SG>
+void run_unit_dir(const cplx* in, cplx* out, idx_t q, idx_t count,
+                  const double* tw) {
+  idx_t p = 0;
+  for (; p + B::kWidth <= count; p += B::kWidth) {
+    CV<B> x[N], y[N];
+    for (idx_t j = 0; j < N; ++j) x[j] = cv_load<B>(in + j * q + p);
+    Body<B, N, SG>::apply(x, y);
+    for (idx_t k = 1; k < N; ++k) {
+      y[k] = cv_mulw<B>(y[k], B::load(tw + (2 * k - 2) * q + p),
+                        B::load(tw + (2 * k - 1) * q + p));
+    }
+    store_packets<B, N>(out + N * p, y);
+  }
+  if constexpr (B::kWidth > 1) {
+    if (p < count) {
+      run_unit_dir<typename B::Tail, N, SG>(in + p, out + N * p, q,
+                                            count - p, tw + p);
+    }
+  }
+}
+
+template <class B, idx_t N>
+void run_unit(const cplx* in, cplx* out, idx_t q, const double* tw,
+              Direction dir) {
+  if (dir == Direction::Forward) {
+    run_unit_dir<B, N, -1>(in, out, q, q, tw);
+  } else {
+    run_unit_dir<B, N, +1>(in, out, q, q, tw);
+  }
+}
+
+template <class B, idx_t... Ns>
+void fill_table(BatchTable& t, std::integer_sequence<idx_t, Ns...>) {
+  ((t.fn[Ns + 2] = &run<B, Ns + 2>, t.unit[Ns + 2] = &run_unit<B, Ns + 2>),
+   ...);
+}
+
 template <class B>
 BatchTable make_table() {
   BatchTable t;
-  t.fn[2] = &run<B, 2>;
-  t.fn[3] = &run<B, 3>;
-  t.fn[4] = &run<B, 4>;
-  t.fn[5] = &run<B, 5>;
-  t.fn[6] = &run<B, 6>;
-  t.fn[7] = &run<B, 7>;
-  t.fn[8] = &run<B, 8>;
-  t.fn[9] = &run<B, 9>;
-  t.fn[10] = &run<B, 10>;
-  t.fn[11] = &run<B, 11>;
-  t.fn[12] = &run<B, 12>;
-  t.fn[13] = &run<B, 13>;
-  t.fn[14] = &run<B, 14>;
-  t.fn[15] = &run<B, 15>;
-  t.fn[16] = &run<B, 16>;
+  fill_table<B>(t, std::make_integer_sequence<idx_t,
+                                              codelets::kMaxCodelet - 1>{});
   return t;
 }
 

@@ -167,6 +167,59 @@ TEST_P(BatchCodelets, InPlaceWhenStridesMatch) {
   }
 }
 
+TEST_P(BatchCodelets, UnitStrideMatchesPerPacketCalls) {
+  // The unit-stride codelet runs a whole s = 1 Stockham level; it must
+  // agree with one per-packet BatchFn call per p (the plain DFT at p = 0,
+  // the twiddled one after), for every radix, q across full chunks and
+  // every tail width, and both directions.
+  const auto& bt = kernels::batch_table(GetParam());
+  for (idx_t r = 2; r <= codelets::kMaxCodelet; ++r) {
+    ASSERT_NE(nullptr, bt.unit[r]) << "r=" << r;
+    for (idx_t q : {idx_t{1}, idx_t{2}, idx_t{3}, idx_t{7}, idx_t{8},
+                    idx_t{9}, idx_t{16}, idx_t{37}}) {
+      for (Direction dir : {Direction::Forward, Direction::Inverse}) {
+        const idx_t len = r * q;
+        cvec tw(static_cast<std::size_t>((r - 1) * q));
+        dvec split(static_cast<std::size_t>(2 * (r - 1) * q));
+        for (idx_t p = 0; p < q; ++p) {
+          for (idx_t k = 1; k < r; ++k) {
+            const cplx w = root_of_unity(len, (k * p) % len, dir);
+            tw[static_cast<std::size_t>((r - 1) * p + (k - 1))] = w;
+            split[static_cast<std::size_t>((2 * k - 2) * q + p)] = w.real();
+            split[static_cast<std::size_t>((2 * k - 1) * q + p)] = w.imag();
+          }
+        }
+        auto in = random_cvec(len, static_cast<unsigned>(5000 + 31 * r + q));
+        cvec want(static_cast<std::size_t>(len), cplx(-7.0, -7.0));
+        cvec got = want;
+        for (idx_t p = 0; p < q; ++p) {
+          bt.fn[r](in.data() + p, q, want.data() + r * p, 1, 1,
+                   p == 0 ? nullptr : tw.data() + (r - 1) * p, dir);
+        }
+        bt.unit[r](in.data(), got.data(), q, split.data(), dir);
+        EXPECT_LT(test::max_err(want, got), 1e-12)
+            << "r=" << r << " q=" << q << " dir="
+            << (dir == Direction::Forward ? "fwd" : "inv");
+      }
+    }
+  }
+}
+
+TEST_P(BatchCodelets, UnitStrideInPlaceAtOnePacket) {
+  // q == 1 is the only in-place case the unit-stride ABI allows.
+  const auto& bt = kernels::batch_table(GetParam());
+  for (idx_t r = 2; r <= codelets::kMaxCodelet; ++r) {
+    auto x = random_cvec(r, static_cast<unsigned>(6000 + r));
+    cvec want(x.size());
+    reference_batch(x.data(), 1, want.data(), 1, r, 1, nullptr,
+                    Direction::Forward);
+    dvec ones(static_cast<std::size_t>(2 * (r - 1)), 0.0);  // w(0, k) = 1
+    for (idx_t k = 1; k < r; ++k) ones[static_cast<std::size_t>(2 * k - 2)] = 1.0;
+    bt.unit[r](x.data(), x.data(), 1, ones.data(), Direction::Forward);
+    EXPECT_LT(test::max_err(want, x), 1e-12) << "r=" << r;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllIsas, BatchCodelets,
                          ::testing::Values(Isa::Scalar, Isa::Avx2,
                                            Isa::Avx512),

@@ -2,6 +2,8 @@
 // reference, analytic DFT properties, and parameterised size sweeps.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "fft/reference.h"
 #include "fft1d/fft1d.h"
@@ -64,6 +66,47 @@ INSTANTIATE_TEST_SUITE_P(
                              18, 20, 22, 24, 26, 30, 31, 32, 34, 36, 48, 60,
                              64, 100, 120, 128, 143, 144, 176, 210, 240, 256,
                              360, 1000, 1009, 1024));
+
+// No Stockham plan stages its result in scratch: the last level always
+// writes the caller's tile, and only a q == 1 last level (odd level
+// count) writes in place.
+TEST_P(Fft1dSizes, LastLevelWritesTheTile) {
+  const idx_t n = GetParam();
+  const std::vector<bool> targets = Fft1d(n, Direction::Forward).stockham_targets();
+  if (targets.empty()) return;  // n == 1 and Bluestein sizes: no levels
+  EXPECT_TRUE(targets.back()) << "n=" << n;
+  for (std::size_t i = 0; i + 1 < targets.size(); ++i) {
+    EXPECT_EQ(i % 2 == 1, targets[i]) << "n=" << n << " level " << i;
+  }
+}
+
+// Larger one-lane sizes: three-level plans (the last level runs in
+// place) whose level 0 runs the unit-stride codelet over q = 128 and 256
+// packets.
+TEST(Fft1d, LargeOneLaneSizesMatchReference) {
+  for (idx_t n : {idx_t{2048}, idx_t{4096}}) {
+    for (Direction dir : {Direction::Forward, Direction::Inverse}) {
+      Fft1d plan(n, dir);
+      auto x = random_cvec(n, static_cast<unsigned>(400 + n));
+      cvec got = x;
+      plan.apply_batch(got.data(), 1);
+      EXPECT_LT(max_err(reference_fft(x, dir), got),
+                fft_tol(static_cast<double>(n)))
+          << "n=" << n;
+    }
+  }
+}
+
+TEST(Fft1d, RoundTrip32768) {
+  const idx_t n = 32768;
+  Fft1d fwd(n, Direction::Forward), inv(n, Direction::Inverse);
+  auto x = random_cvec(n, 500);
+  cvec y = x;
+  fwd.apply_batch(y.data(), 1);
+  inv.apply_batch(y.data(), 1);
+  inv.scale_inverse(y.data(), n);
+  EXPECT_LT(max_err(x, y), fft_tol(static_cast<double>(n)));
+}
 
 TEST(Fft1d, BatchTransformsEachPencilIndependently) {
   const idx_t n = 16, count = 5;
@@ -183,7 +226,7 @@ TEST(Fft1d, StridedLanesMatchesGather) {
 }
 
 TEST(Fft1d, ScalarPathMatchesVectorPath) {
-  for (idx_t n : {idx_t{256}, idx_t{360}}) {
+  for (idx_t n : {idx_t{256}, idx_t{360}, idx_t{4096}, idx_t{32768}}) {
     auto x = random_cvec(n, 9);
     Fft1d plan(n, Direction::Forward);
     cvec vec_result = x;

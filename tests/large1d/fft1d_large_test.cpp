@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -267,8 +268,11 @@ TEST(Fft1dLarge, RowPassGivesEveryComputeThreadWork) {
 #else
   // A row-pass block holding a single row group must still be shared by
   // every compute thread: per thread, the 'C' slice time inside the
-  // large1d-rows stage slice stays within 4x of the busiest thread's.
-  // Checked for the even split and for the tuner's 3 + 1 split.
+  // large1d-rows stage slices stays within 4x of the busiest thread's.
+  // Checked for the even split and for the tuner's 3 + 1 split. Each
+  // thread's time is summed over kExecutes runs, so one preempted slice
+  // on a loaded host cannot decide the ratio on its own.
+  constexpr int kExecutes = 3;
   const idx_t n = idx_t{1} << 22;
   auto x = random_cvec(n, 9570);
   for (int compute : {-1, 3}) {
@@ -277,20 +281,24 @@ TEST(Fft1dLarge, RowPassGivesEveryComputeThreadWork) {
     Fft1dLarge plan(n, Direction::Forward, o);
     cvec in = x, got(x.size());
     obs::start_trace();
-    plan.execute(in.data(), got.data());
+    for (int e = 0; e < kExecutes; ++e) plan.execute(in.data(), got.data());
     obs::stop_trace();
     const std::vector<obs::Slice> slices = obs::drain_trace();
 
-    const auto rows = std::find_if(
-        slices.begin(), slices.end(), [](const obs::Slice& s) {
-          return s.phase == 'G' && std::strcmp(s.name, "large1d-rows") == 0;
-        });
-    ASSERT_NE(rows, slices.end());
+    std::vector<obs::Slice> rows;
+    std::copy_if(slices.begin(), slices.end(), std::back_inserter(rows),
+                 [](const obs::Slice& s) {
+                   return s.phase == 'G' &&
+                          std::strcmp(s.name, "large1d-rows") == 0;
+                 });
+    ASSERT_EQ(static_cast<std::size_t>(kExecutes), rows.size());
     std::map<int, std::uint64_t> busy_ns;  // obs tid -> summed 'C' time
     for (const obs::Slice& s : slices) {
-      if (s.phase == 'C' && s.t0_ns >= rows->t0_ns && s.t1_ns <= rows->t1_ns) {
-        busy_ns[s.tid] += s.t1_ns - s.t0_ns;
-      }
+      const bool in_rows = std::any_of(
+          rows.begin(), rows.end(), [&s](const obs::Slice& g) {
+            return s.t0_ns >= g.t0_ns && s.t1_ns <= g.t1_ns;
+          });
+      if (s.phase == 'C' && in_rows) busy_ns[s.tid] += s.t1_ns - s.t0_ns;
     }
     const std::size_t want_threads = compute < 0 ? 2 : 3;
     ASSERT_EQ(want_threads, busy_ns.size()) << "compute=" << compute;
