@@ -235,6 +235,44 @@ HazardReport audit_schedule(const Trace& trace, idx_t iterations,
   return rep;
 }
 
+Trace make_table2_trace(idx_t iterations, const RolePlan& roles) {
+  Trace t;
+  if (roles.data == 0) {
+    // Degraded sequential schedule: barriers separate the three phases
+    // of each iteration, so any correct trace is phase-major.
+    for (idx_t i = 0; i < iterations; ++i) {
+      const int h = static_cast<int>(i % 2);
+      for (int tid = 0; tid < roles.total; ++tid) {
+        t.push_back({i, Kind::Load, i, h, tid});
+      }
+      for (int tid = 0; tid < roles.total; ++tid) {
+        t.push_back({i, Kind::Compute, i, h, tid});
+      }
+      for (int tid = 0; tid < roles.total; ++tid) {
+        t.push_back({i, Kind::Store, i, h, tid});
+      }
+    }
+    return t;
+  }
+  for (idx_t step = 0; step < iterations + 2; ++step) {
+    const int h = static_cast<int>(step % 2);
+    for (int tid = 0; tid < roles.total; ++tid) {
+      if (roles.is_compute(tid)) {
+        if (step >= 1 && step <= iterations) {
+          t.push_back({step, Kind::Compute, step - 1,
+                       static_cast<int>((step + 1) % 2), tid});
+        }
+      } else {
+        // Per-thread program order: Store(step-2) retires the half
+        // before Load(step) refills it.
+        if (step >= 2) t.push_back({step, Kind::Store, step - 2, h, tid});
+        if (step < iterations) t.push_back({step, Kind::Load, step, h, tid});
+      }
+    }
+  }
+  return t;
+}
+
 PartitionMap probe_partition(
     const std::function<void(idx_t, cplx*, int, int)>& task, idx_t iter,
     idx_t block_elems, int parts) {

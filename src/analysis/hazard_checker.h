@@ -82,6 +82,11 @@ struct HazardReport {
 HazardReport audit_schedule(const Trace& trace, idx_t iterations,
                             const RolePlan& roles);
 
+/// The trace a correct execution of the Table II schedule (or, with
+/// roles.data == 0, the degraded sequential schedule) must record for
+/// `iterations` blocks. Event order matches per-thread program order.
+Trace make_table2_trace(idx_t iterations, const RolePlan& roles);
+
 /// Shadow access map of one pipeline task: writers[e] lists the ranks that
 /// wrote block element e during the sequential per-rank probe.
 struct PartitionMap {

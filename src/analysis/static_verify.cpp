@@ -5,7 +5,7 @@
 
 #include "fft/stage.h"
 #include "kernels/twiddle.h"
-#include "pipeline/pipeline.h"
+#include "parallel/team.h"
 
 namespace bwfft::analysis {
 
@@ -20,18 +20,6 @@ const char* issue_kind_name(StaticIssue::Kind k) {
     case StaticIssue::Kind::MissingFence: return "missing-fence";
     case StaticIssue::Kind::EpochAlias: return "epoch-alias";
     case StaticIssue::Kind::BadModel: return "bad-model";
-  }
-  return "?";
-}
-
-const char* engine_label(EngineKind k) {
-  switch (k) {
-    case EngineKind::Reference: return "reference";
-    case EngineKind::Pencil: return "pencil";
-    case EngineKind::StageParallel: return "stage-parallel";
-    case EngineKind::SlabPencil: return "slab-pencil";
-    case EngineKind::DoubleBuffer: return "double-buffer";
-    case EngineKind::Auto: return "auto";
   }
   return "?";
 }
@@ -126,8 +114,8 @@ bool build_stage_chain(const std::vector<idx_t>& dims, const FftOptions& opts,
   }
   const bool lockstep = plan.schedule == StageSchedule::Lockstep;
   const bool pipelined = !lockstep && plan.data() > 0;
-  out->engine = engine_label(lockstep ? EngineKind::StageParallel
-                                      : EngineKind::DoubleBuffer);
+  out->engine = engine_name(lockstep ? EngineKind::StageParallel
+                                     : EngineKind::DoubleBuffer);
   out->threads = plan.threads;
   out->compute_threads = plan.compute;
   out->data_threads = plan.data();
@@ -165,7 +153,7 @@ bool build_pencil(const std::vector<idx_t>& dims, const FftOptions& opts,
     }
   }
   const int p = resolve_role_counts(opts).threads;
-  out->engine = engine_label(EngineKind::Pencil);
+  out->engine = engine_name(EngineKind::Pencil);
   out->threads = p;
   out->compute_threads = p;
   out->data_threads = 0;
@@ -221,7 +209,7 @@ bool build_slab_pencil(const std::vector<idx_t>& dims, const FftOptions& opts,
   const idx_t slab = n * m;
   const idx_t mu = packet_size_for(m);
   const int p = resolve_role_counts(opts).threads;
-  out->engine = engine_label(EngineKind::SlabPencil);
+  out->engine = engine_name(EngineKind::SlabPencil);
   out->threads = p;
   out->compute_threads = p;
   out->data_threads = 0;
@@ -411,174 +399,6 @@ StaticReport verify_plan(const PlanModel& model) {
           }
         }
       }
-    }
-  }
-  return rep;
-}
-
-Trace make_table2_trace(idx_t iterations, const RolePlan& roles) {
-  using Kind = DoubleBufferPipeline::TraceEvent::Kind;
-  Trace t;
-  if (roles.data == 0) {
-    // Degraded sequential schedule: barriers separate the three phases
-    // of each iteration, so any correct trace is phase-major.
-    for (idx_t i = 0; i < iterations; ++i) {
-      const int h = static_cast<int>(i % 2);
-      for (int tid = 0; tid < roles.total; ++tid) {
-        t.push_back({i, Kind::Load, i, h, tid});
-      }
-      for (int tid = 0; tid < roles.total; ++tid) {
-        t.push_back({i, Kind::Compute, i, h, tid});
-      }
-      for (int tid = 0; tid < roles.total; ++tid) {
-        t.push_back({i, Kind::Store, i, h, tid});
-      }
-    }
-    return t;
-  }
-  for (idx_t step = 0; step < iterations + 2; ++step) {
-    const int h = static_cast<int>(step % 2);
-    for (int tid = 0; tid < roles.total; ++tid) {
-      if (roles.is_compute(tid)) {
-        if (step >= 1 && step <= iterations) {
-          t.push_back({step, Kind::Compute, step - 1,
-                       static_cast<int>((step + 1) % 2), tid});
-        }
-      } else {
-        // Per-thread program order: Store(step-2) retires the half
-        // before Load(step) refills it.
-        if (step >= 2) t.push_back({step, Kind::Store, step - 2, h, tid});
-        if (step < iterations) t.push_back({step, Kind::Load, step, h, tid});
-      }
-    }
-  }
-  return t;
-}
-
-HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
-                                      const RolePlan& roles) {
-  using Kind = DoubleBufferPipeline::TraceEvent::Kind;
-  HazardReport rep;
-  rep.iterations = iterations;
-  rep.events = trace.size();
-  const bool table2 = roles.data > 0;
-
-  auto violation = [&](HazardViolation::Kind k,
-                       const DoubleBufferPipeline::TraceEvent& ev,
-                       std::string detail) {
-    rep.violations.push_back(
-        {k, ev.step, ev.iter, ev.half, ev.tid, std::move(detail)});
-  };
-
-  // Expected slot table: for every (kind, tid, iter) the unique
-  // (step, half) the recurrences allow, plus a seen flag.
-  auto slot_index = [&](Kind k, int tid, idx_t iter) -> std::size_t {
-    const std::size_t kind_idx = k == Kind::Load ? 0 : k == Kind::Compute
-                                                           ? 1
-                                                           : 2;
-    return (kind_idx * static_cast<std::size_t>(roles.total) +
-            static_cast<std::size_t>(tid)) *
-               static_cast<std::size_t>(iterations) +
-           static_cast<std::size_t>(iter);
-  };
-  std::vector<char> seen(3 * static_cast<std::size_t>(roles.total) *
-                             static_cast<std::size_t>(iterations),
-                         0);
-
-  // Per-(tid, step) flag for the S4 ordering rule in the Table II
-  // schedule: Load(step) recorded before Store(step-2) on the same
-  // thread means the half was refilled before it was retired.
-  std::vector<char> load_seen_at_step(
-      static_cast<std::size_t>(roles.total) *
-          static_cast<std::size_t>(iterations + 2),
-      0);
-
-  for (const auto& ev : trace) {
-    if (ev.tid < 0 || ev.tid >= roles.total) {
-      violation(HazardViolation::Kind::RoleMismatch, ev,
-                "event from a thread outside the team");
-      continue;
-    }
-    if (ev.iter < 0 || ev.iter >= iterations) {
-      violation(HazardViolation::Kind::WrongStep, ev,
-                "iteration outside [0, iterations)");
-      continue;
-    }
-    const bool is_compute_ev = ev.kind == Kind::Compute;
-    if (table2 && roles.is_compute(ev.tid) != is_compute_ev) {
-      violation(HazardViolation::Kind::RoleMismatch, ev,
-                is_compute_ev ? "compute task on a data thread"
-                              : "data task on a compute thread");
-      continue;
-    }
-
-    // The unique slot this event may occupy.
-    idx_t want_step = 0;
-    int want_half = 0;
-    if (!table2) {
-      want_step = ev.iter;
-      want_half = static_cast<int>(ev.iter % 2);
-    } else if (ev.kind == Kind::Load) {
-      want_step = ev.iter;
-      want_half = static_cast<int>(ev.iter % 2);
-    } else if (ev.kind == Kind::Store) {
-      want_step = ev.iter + 2;
-      want_half = static_cast<int>(ev.iter % 2);
-    } else {
-      want_step = ev.iter + 1;
-      want_half = static_cast<int>(ev.iter % 2);
-    }
-
-    const std::size_t idx = slot_index(ev.kind, ev.tid, ev.iter);
-    if (seen[idx]) {
-      violation(HazardViolation::Kind::DuplicateTask, ev,
-                "slot executed more than once");
-      continue;
-    }
-    seen[idx] = 1;
-
-    if (ev.step != want_step) {
-      violation(HazardViolation::Kind::WrongStep, ev,
-                "expected step " + std::to_string(want_step));
-      continue;
-    }
-    if (ev.half != want_half) {
-      violation(HazardViolation::Kind::WrongHalf, ev,
-                "expected half " + std::to_string(want_half));
-      continue;
-    }
-
-    if (table2 && !roles.is_compute(ev.tid)) {
-      const std::size_t ts = static_cast<std::size_t>(ev.tid) *
-                                 static_cast<std::size_t>(iterations + 2) +
-                             static_cast<std::size_t>(ev.step);
-      if (ev.kind == Kind::Load) {
-        load_seen_at_step[ts] = 1;
-      } else if (load_seen_at_step[ts]) {
-        violation(HazardViolation::Kind::StoreLoadOrder, ev,
-                  "Store(i-2) recorded after Load(i) in the same step");
-      }
-    }
-  }
-
-  // Every slot the schedule demands must have been filled.
-  for (int tid = 0; tid < roles.total; ++tid) {
-    const bool compute_thread = roles.is_compute(tid);
-    for (idx_t i = 0; i < iterations; ++i) {
-      const bool want_data = !table2 || !compute_thread;
-      const bool want_compute = !table2 || compute_thread;
-      auto require = [&](Kind k, const char* what) {
-        if (!seen[slot_index(k, tid, i)]) {
-          rep.violations.push_back({HazardViolation::Kind::MissingTask, -1, i,
-                                    -1, tid,
-                                    std::string(what) + " never executed"});
-        }
-      };
-      if (want_data) {
-        require(Kind::Load, "Load");
-        require(Kind::Store, "Store");
-      }
-      if (want_compute) require(Kind::Compute, "Compute");
     }
   }
   return rep;

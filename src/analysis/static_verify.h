@@ -1,7 +1,7 @@
-// Symbolic plan verifier — proves schedule and layout invariants over a
+// Symbolic plan verifier — proves the access-window invariants of a
 // planned configuration WITHOUT executing it.
 //
-// The PR-1 hazard checker (hazard_checker.h) is a dynamic auditor: it
+// The hazard checker (hazard_checker.h) is a dynamic auditor: it
 // replays the trace of one real execution and probes partitions with
 // sentinel values, so it only covers the (dims, threads, block, packet)
 // points that actually run. This module is the static complement. From a
@@ -23,24 +23,19 @@
 //      rank serialises the two by program order — Table II's S4);
 //   4. element counts are conserved stage to stage.
 //
-// The schedule itself is verified symbolically as well: the Table II
-// recurrences (load(i)@step i, compute(i-1)@step i, store(i-2)@step i,
-// halves alternating) generate the one trace a correct execution can
-// record, and verify_schedule_symbolic() diffs any trace against that
-// expectation. make_table2_trace() emits the expected trace, which is how
-// the symbolic and runtime checkers are cross-checked on identical input
-// (tests/static_runtime_crosscheck_test.cpp) and how tools/bwfft_lint
-// sweeps the tuner's whole candidate grid in milliseconds.
+// The schedule of a pipelined stage is not modelled here: the one checker
+// of a Table II trace is analysis::audit_schedule (hazard_checker.h),
+// which tools/bwfft_lint runs over make_table2_trace() for every role
+// split of the tuner grid and the engines run over their own traces
+// under BWFFT_SELF_CHECK.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "analysis/hazard_checker.h"
 #include "common/intervals.h"
 #include "common/types.h"
 #include "fft/options.h"
-#include "parallel/roles.h"
 
 namespace bwfft::analysis {
 
@@ -122,19 +117,5 @@ bool build_plan_model(const std::vector<idx_t>& dims, const FftOptions& opts,
 
 /// Prove invariants 1–4 over a model. Pure; never executes anything.
 StaticReport verify_plan(const PlanModel& model);
-
-/// The trace a correct execution of the Table II schedule (or, with
-/// roles.data == 0, the degraded sequential schedule) must record for
-/// `iterations` blocks. Event order matches per-thread program order.
-Trace make_table2_trace(idx_t iterations, const RolePlan& roles);
-
-/// Verify a trace against the schedule recurrences, independently of
-/// audit_schedule(): every event must sit in its unique expected
-/// (step, half, tid) slot, every slot must be filled exactly once, and
-/// each data thread must retire Store(i-2) before Load(i) within a step.
-/// Returns the same HazardReport shape as the runtime checker so the two
-/// can be diffed directly.
-HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
-                                      const RolePlan& roles);
 
 }  // namespace bwfft::analysis

@@ -19,18 +19,6 @@
 
 namespace bwfft {
 
-const char* engine_name(EngineKind k) {
-  switch (k) {
-    case EngineKind::Reference: return "reference";
-    case EngineKind::Pencil: return "pencil";
-    case EngineKind::StageParallel: return "stage-parallel";
-    case EngineKind::SlabPencil: return "slab-pencil";
-    case EngineKind::DoubleBuffer: return "double-buffer";
-    case EngineKind::Auto: return "auto";
-  }
-  return "?";
-}
-
 const char* tune_level_name(TuneLevel level) {
   switch (level) {
     case TuneLevel::Estimate: return "estimate";

@@ -36,7 +36,17 @@ enum class EngineKind {
   Auto,
 };
 
-const char* engine_name(EngineKind k);
+inline const char* engine_name(EngineKind k) {
+  switch (k) {
+    case EngineKind::Reference: return "reference";
+    case EngineKind::Pencil: return "pencil";
+    case EngineKind::StageParallel: return "stage-parallel";
+    case EngineKind::SlabPencil: return "slab-pencil";
+    case EngineKind::DoubleBuffer: return "double-buffer";
+    case EngineKind::Auto: return "auto";
+  }
+  return "?";
+}
 
 /// How hard the planner works when engine == EngineKind::Auto
 /// (FFTW's ESTIMATE/MEASURE/EXHAUSTIVE ladder).

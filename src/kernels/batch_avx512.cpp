@@ -100,9 +100,9 @@ namespace {
 /// Elementwise interleaved complex multiply of four complex doubles:
 ///   out = a * b  (re = a.re b.re - a.im b.im, im = a.re b.im + a.im b.re)
 inline __m512d cmul512(__m512d a, __m512d b) {
-  const __m512d bre = _mm512_movedup_pd(b);      // [b.re, b.re] per complex
-  const __m512d bim = _mm512_permute_pd(b, 0xFF);  // [b.im, b.im]
-  const __m512d asw = _mm512_permute_pd(a, 0x55);  // [a.im, a.re]
+  const __m512d bre = _mm512_shuffle_pd(b, b, 0x00);  // [b.re, b.re]
+  const __m512d bim = _mm512_shuffle_pd(b, b, 0xFF);  // [b.im, b.im]
+  const __m512d asw = _mm512_shuffle_pd(a, a, 0x55);  // [a.im, a.re]
   return _mm512_fmaddsub_pd(a, bre, _mm512_mul_pd(asw, bim));
 }
 

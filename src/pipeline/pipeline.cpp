@@ -56,6 +56,14 @@ void DoubleBufferPipeline::record(idx_t step, TraceEvent::Kind kind,
 }
 
 void DoubleBufferPipeline::execute(const PipelineStage& stage) {
+  run(stage, /*overlap=*/roles_.data > 0);
+}
+
+void DoubleBufferPipeline::execute_unpipelined(const PipelineStage& stage) {
+  run(stage, /*overlap=*/false);
+}
+
+void DoubleBufferPipeline::run(const PipelineStage& stage, bool overlap) {
   BWFFT_CHECK(stage.iterations >= 1, "stage needs >= 1 iteration");
   const idx_t iters = stage.iterations;
   const bool util = collect_util_;
@@ -72,19 +80,19 @@ void DoubleBufferPipeline::execute(const PipelineStage& stage) {
     util_.store_seconds += store_s;
   };
 
-  if (roles_.data == 0) {
-    // No soft-DMA threads: sequential load/compute/store per iteration on
-    // the compute group. Correct, but with no overlap.
+  if (!overlap) {
+    // Sequential load/compute/store per iteration with the whole team on
+    // each task. With no data threads in the role plan every thread
+    // computes, so rank tid of p is also its compute-group rank.
     team_.run([&](int tid) {
-      const int rank = roles_.group_rank(tid);
-      const int parts = roles_.compute;
+      const int parts = roles_.total;
       double t_load = 0, t_comp = 0, t_store = 0;
       for (idx_t i = 0; i < iters; ++i) {
         cplx* buf = half(static_cast<int>(i % 2));
         Timer t;
         {
           BWFFT_OBS_TASK(obs_task, "load", 'L', i, LoadBusyNs);
-          stage.load(i, buf, rank, parts);
+          stage.load(i, buf, tid, parts);
         }
         t_load += t.seconds();
         record(i, TraceEvent::Kind::Load, i, static_cast<int>(i % 2), tid);
@@ -92,7 +100,7 @@ void DoubleBufferPipeline::execute(const PipelineStage& stage) {
         t.reset();
         {
           BWFFT_OBS_TASK(obs_task, "compute", 'C', i, ComputeBusyNs);
-          stage.compute(i, buf, rank, parts);
+          stage.compute(i, buf, tid, parts);
         }
         t_comp += t.seconds();
         record(i, TraceEvent::Kind::Compute, i, static_cast<int>(i % 2), tid);
@@ -100,13 +108,13 @@ void DoubleBufferPipeline::execute(const PipelineStage& stage) {
         t.reset();
         {
           BWFFT_OBS_TASK(obs_task, "store", 'S', i, StoreBusyNs);
-          stage.store(i, buf, rank, parts);
+          stage.store(i, buf, tid, parts);
         }
         t_store += t.seconds();
         record(i, TraceEvent::Kind::Store, i, static_cast<int>(i % 2), tid);
         // The store may be non-temporal; drain the write-combining
         // buffers before the barrier publishes the output (the overlap
-        // path fences every data step — this keeps the degraded path
+        // path fences every data step — this keeps the sequential path
         // under the same fence-pairing rule the static verifier proves).
         stream_fence();
         wait_at_barrier(i);
@@ -166,23 +174,6 @@ void DoubleBufferPipeline::execute(const PipelineStage& stage) {
     merge_util(t_load, t_comp, t_store);
   });
   if (util) util_.wall_seconds = wall.seconds();
-}
-
-void DoubleBufferPipeline::execute_unpipelined(const PipelineStage& stage) {
-  BWFFT_CHECK(stage.iterations >= 1, "stage needs >= 1 iteration");
-  team_.run([&](int tid) {
-    const int parts = roles_.total;
-    for (idx_t i = 0; i < stage.iterations; ++i) {
-      cplx* buf = half(0);
-      stage.load(i, buf, tid, parts);
-      wait_at_barrier(i);
-      stage.compute(i, buf, tid, parts);
-      wait_at_barrier(i);
-      stage.store(i, buf, tid, parts);
-      stream_fence();  // NT stores must be visible before the barrier
-      wait_at_barrier(i);
-    }
-  });
 }
 
 idx_t default_block_elems(const MachineTopology& topo) {

@@ -73,8 +73,8 @@ class DoubleBufferPipeline {
   const RolePlan& roles() const { return roles_; }
 
   /// Run one stage with full overlap (Table II). With no data threads in
-  /// the role plan the stage degrades gracefully: compute threads execute
-  /// load/compute/store back-to-back per iteration (no overlap).
+  /// the role plan the stage degrades gracefully to the
+  /// execute_unpipelined() schedule (no overlap).
   void execute(const PipelineStage& stage);
 
   /// Run the stage WITHOUT software pipelining: every step does
@@ -104,6 +104,8 @@ class DoubleBufferPipeline {
 
  private:
   cplx* half(int h) { return buffer_.data() + h * block_elems_; }
+  /// The Table II schedule (overlap) or the sequential one.
+  void run(const PipelineStage& stage, bool overlap);
   void record(idx_t step, TraceEvent::Kind kind, idx_t iter, int h, int tid);
   /// Team barrier with obs accounting (barrier-wait ns, 'B' slices).
   void wait_at_barrier(idx_t step);

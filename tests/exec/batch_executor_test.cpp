@@ -48,7 +48,13 @@ struct Case {
   }
 
   Request request(Clock::time_point deadline = {}) {
-    return Request{dims, dir, in.data(), out.data(), deadline};
+    Request r;
+    r.dims = dims;
+    r.dir = dir;
+    r.in = in.data();
+    r.out = out.data();
+    r.deadline = deadline;
+    return r;
   }
 
   void expect_correct() const {

@@ -19,6 +19,7 @@ using analysis::audit_schedule;
 using analysis::HazardChecker;
 using analysis::HazardReport;
 using analysis::HazardViolation;
+using analysis::make_table2_trace;
 using analysis::probe_partition;
 using analysis::Trace;
 using Kind = DoubleBufferPipeline::TraceEvent::Kind;
@@ -59,26 +60,6 @@ struct CopyStage {
   }
 };
 
-/// Emit the exact Table II trace one data and one compute thread produce
-/// for `iters` iterations (data tid 1, compute tid 0, matching
-/// make_role_plan(2, 1, ...)); tests mutate it to inject hazards.
-Trace correct_trace(idx_t iters) {
-  Trace t;
-  for (idx_t step = 0; step < iters + 2; ++step) {
-    if (step >= 2) {
-      t.push_back({step, Kind::Store, step - 2, static_cast<int>(step % 2), 1});
-    }
-    if (step < iters) {
-      t.push_back({step, Kind::Load, step, static_cast<int>(step % 2), 1});
-    }
-    if (step >= 1 && step <= iters) {
-      t.push_back(
-          {step, Kind::Compute, step - 1, static_cast<int>((step + 1) % 2), 0});
-    }
-  }
-  return t;
-}
-
 class CheckerRoles : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(CheckerRoles, RealPipelineIsClean) {
@@ -108,13 +89,14 @@ INSTANTIATE_TEST_SUITE_P(RoleSplits, CheckerRoles,
 
 TEST(HazardChecker, CorrectSyntheticTraceIsClean) {
   RolePlan roles = make_role_plan(2, 1, host_topology());
-  const HazardReport rep = audit_schedule(correct_trace(6), 6, roles);
+  const HazardReport rep =
+      audit_schedule(make_table2_trace(6, roles), 6, roles);
   EXPECT_TRUE(rep.clean()) << rep.str();
 }
 
 TEST(HazardChecker, FlagsWrongHalfCompute) {
   RolePlan roles = make_role_plan(2, 1, host_topology());
-  Trace t = correct_trace(6);
+  Trace t = make_table2_trace(6, roles);
   for (auto& ev : t) {
     if (ev.kind == Kind::Compute && ev.step == 3) ev.half ^= 1;  // wrong half
   }
@@ -127,7 +109,7 @@ TEST(HazardChecker, FlagsWrongHalfCompute) {
 
 TEST(HazardChecker, FlagsStoreLoadReordering) {
   RolePlan roles = make_role_plan(2, 1, host_topology());
-  Trace t = correct_trace(6);
+  Trace t = make_table2_trace(6, roles);
   // Swap the store/load pair at step 3: the load now precedes the store
   // that was supposed to retire the half.
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
@@ -142,7 +124,7 @@ TEST(HazardChecker, FlagsStoreLoadReordering) {
 
 TEST(HazardChecker, FlagsMissingAndDuplicateTasks) {
   RolePlan roles = make_role_plan(2, 1, host_topology());
-  Trace t = correct_trace(6);
+  Trace t = make_table2_trace(6, roles);
   // Delete the load of iteration 4 and run the compute of iteration 2 twice.
   Trace mutated;
   for (const auto& ev : t) {
@@ -157,7 +139,7 @@ TEST(HazardChecker, FlagsMissingAndDuplicateTasks) {
 
 TEST(HazardChecker, FlagsWrongStepAndRole) {
   RolePlan roles = make_role_plan(2, 1, host_topology());
-  Trace t = correct_trace(4);
+  Trace t = make_table2_trace(4, roles);
   // A load claiming iteration != step, and a compute by the data thread.
   t.push_back({2, Kind::Load, 3, 0, 1});
   t.push_back({2, Kind::Compute, 1, 1, 1});
@@ -240,7 +222,7 @@ TEST(HazardChecker, DetectsInjectedOverlapBugOnRealPipeline) {
 
 TEST(HazardChecker, ReportRendersContext) {
   RolePlan roles = make_role_plan(2, 1, host_topology());
-  Trace t = correct_trace(4);
+  Trace t = make_table2_trace(4, roles);
   for (auto& ev : t) {
     if (ev.kind == Kind::Compute && ev.step == 2) ev.half ^= 1;
   }

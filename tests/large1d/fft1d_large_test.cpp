@@ -229,7 +229,9 @@ TEST(Fft1dLarge, OddRadixFactorizationMatches) {
     o.factor_n1 = req;
     Fft1dLarge plan(n, Direction::Forward, o);
     EXPECT_EQ(n, plan.factor_n1() * plan.factor_n2());
-    if (req > 0) EXPECT_EQ(req, plan.factor_n1());
+    if (req > 0) {
+      EXPECT_EQ(req, plan.factor_n1());
+    }
     cvec in = x, got(x.size());
     plan.execute(in.data(), got.data());
     EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))

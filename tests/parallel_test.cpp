@@ -46,8 +46,8 @@ TEST(Barrier, ReuseAcrossGenerationsWithStragglers) {
   team.run([&](int tid) {
     for (int g = 0; g < generations; ++g) {
       if (tid % 2 == 1) {
-        for (volatile int spin = 0; spin < 50 * (g % 7); ++spin) {
-        }
+        volatile int spin = 0;
+        while (spin < 50 * (g % 7)) spin = spin + 1;
       }
       {
         std::lock_guard<std::mutex> lk(mu);

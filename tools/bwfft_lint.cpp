@@ -6,31 +6,38 @@
 //      windows pairwise disjoint and jointly covering, NT-store/fence
 //      pairing, double-buffer epoch aliasing, stage-to-stage element
 //      conservation — all by interval algebra, nothing executes;
-//   2. verifies the Table II schedule symbolically for every distinct
-//      role split the grid produces, and cross-checks that the runtime
-//      hazard checker (analysis::audit_schedule) agrees with the
-//      symbolic checker on the same trace;
+//   2. audits the Table II schedule for every distinct role split the
+//      grid produces: analysis::audit_schedule, the checker the engines'
+//      self-check runs, over the trace make_table2_trace() emits;
 //   3. runs the SPL static verifier over the expression trees and
-//      lowered programs of the shape's algorithm variants.
+//      lowered programs of the shape's algorithm variants: the pencil,
+//      transposed, slab-pencil and rotated forms, the L and K
+//      permutations (also probed for permutation-ness), the two-socket
+//      form where 2 divides k and n, and the 1D four-step term of the
+//      shape's total size. Blocked terms run at every rotation packet
+//      the grid's plans resolve to (plan_stages(...).mu), the packets
+//      the engines actually run.
 //
 // `--inject MODE` seeds one deliberate defect into an otherwise valid
-// model or trace and exits nonzero ONLY IF the static pass catches it
-// (and, for schedule defects, the runtime checker agrees) — the CI wiring
-// marks those invocations as must-fail, so a verifier that goes blind
-// turns the build red.
+// model or trace and exits nonzero ONLY IF the static pass or the
+// schedule audit catches it — the CI wiring marks those invocations as
+// must-fail, so a verifier that goes blind turns the build red.
 //
 // Exit codes: 0 = everything proven clean, 1 = violations (or an inject
 // that was caught — the expected outcome under --inject), 2 = usage.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/hazard_checker.h"
 #include "analysis/static_verify.h"
+#include "benchutil/args.h"
 #include "common/types.h"
 #include "fft/options.h"
+#include "fft/stage.h"
 #include "parallel/roles.h"
 #include "spl/algorithms.h"
 #include "spl/lower.h"
@@ -69,27 +76,6 @@ int usage() {
   return 2;
 }
 
-bool parse_dims(const char* s, std::vector<idx_t>* out) {
-  out->clear();
-  idx_t cur = 0;
-  bool any = false;
-  for (const char* p = s;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      cur = cur * 10 + (*p - '0');
-      any = true;
-    } else if (*p == 'x' || *p == '\0') {
-      if (!any || cur <= 0) return false;
-      out->push_back(cur);
-      cur = 0;
-      any = false;
-      if (*p == '\0') break;
-    } else {
-      return false;
-    }
-  }
-  return out->size() == 2 || out->size() == 3;
-}
-
 std::string dims_str(const std::vector<idx_t>& dims) {
   std::string s;
   for (std::size_t i = 0; i < dims.size(); ++i) {
@@ -98,27 +84,24 @@ std::string dims_str(const std::vector<idx_t>& dims) {
   return s;
 }
 
-/// The compute split the double-buffer engine would resolve for a
-/// candidate (mirrors the engine's own default: even split, whole team
-/// when p == 1).
-int resolved_compute(int threads, int compute_threads) {
-  if (compute_threads >= 0) return compute_threads;
-  return threads <= 1 ? threads : threads / 2;
-}
-
 // ---------------------------------------------------------------------------
-// Leg 1+2: the tuner grid, engine models, and schedule cross-check.
+// Leg 1+2: the tuner grid, engine models, and schedule audit.
 // ---------------------------------------------------------------------------
 
-void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
-               LintTally* tally) {
+/// Verifies the grid of `dims` and returns the distinct rotation packets
+/// its plans resolve to, for the SPL leg's blocked terms.
+std::set<idx_t> lint_grid(const std::vector<idx_t>& dims,
+                          const LintOptions& opt, LintTally* tally) {
   FftOptions req;
   req.threads = opt.threads;
   const auto grid = tune::enumerate_candidates(dims, req);
 
-  std::vector<int> splits_seen;
+  std::set<idx_t> packets;
+  std::set<int> splits_seen;
   for (const auto& c : grid) {
     const FftOptions opts = tune::apply_candidate(c, req);
+    const StagePlan plan = plan_stages(dims, opts);
+    if (plan.ok()) packets.insert(plan.mu);
     analysis::PlanModel model;
     std::string why;
     if (!analysis::build_plan_model(dims, opts, &model, &why)) {
@@ -141,91 +124,101 @@ void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
       }
     }
 
-    // Schedule leg: one symbolic + runtime agreement pass per distinct
-    // role split the grid produces (the schedule depends only on the
-    // split, not on block/packet knobs).
+    // Schedule leg: one audit per distinct role split the grid produces
+    // (the schedule depends only on the split, not on block/packet knobs).
     if (c.engine != EngineKind::DoubleBuffer) continue;
-    const int pc = resolved_compute(opt.threads, c.compute_threads);
-    bool seen = false;
-    for (int s : splits_seen) seen = seen || s == pc;
-    if (seen) continue;
-    splits_seen.push_back(pc);
+    const int pc = resolve_role_counts(opts).compute;
+    if (!splits_seen.insert(pc).second) continue;
     const RolePlan roles = make_role_plan(opt.threads, pc, req.topo);
     for (idx_t iters : {idx_t{1}, idx_t{2}, idx_t{5}, idx_t{8}}) {
-      const analysis::Trace trace = analysis::make_table2_trace(iters, roles);
-      const analysis::HazardReport sym =
-          analysis::verify_schedule_symbolic(trace, iters, roles);
-      const analysis::HazardReport dyn =
-          analysis::audit_schedule(trace, iters, roles);
-      if (!sym.clean() || !dyn.clean()) {
-        std::printf("FAIL  schedule p=%d pc=%d iters=%lld\n", opt.threads, pc,
-                    static_cast<long long>(iters));
-        if (!sym.clean()) std::printf("  symbolic: %s", sym.str().c_str());
-        if (!dyn.clean()) std::printf("  runtime:  %s", dyn.str().c_str());
+      const analysis::HazardReport rep = analysis::audit_schedule(
+          analysis::make_table2_trace(iters, roles), iters, roles);
+      if (!rep.clean()) {
+        std::printf("FAIL  schedule p=%d pc=%d iters=%lld\n%s\n",
+                    opt.threads, pc, static_cast<long long>(iters),
+                    rep.str().c_str());
         ++tally->violations;
       } else {
         ++tally->schedules_verified;
       }
     }
   }
+  return packets;
 }
 
 // ---------------------------------------------------------------------------
 // Leg 3: SPL expression trees and lowered programs.
 // ---------------------------------------------------------------------------
 
-void lint_one_term(const char* name, const spl::ExprPtr& term,
-                   const LintOptions& opt, LintTally* tally) {
+/// Verify one term's tree and lowered program; `perm` also probes that
+/// the term is a permutation (the L and K operators).
+void lint_one_term(const std::string& name, const spl::ExprPtr& term,
+                   bool perm, const LintOptions& opt, LintTally* tally) {
   const spl::VerifyReport tr = spl::verify(*term);
   if (!tr.ok()) {
-    std::printf("FAIL  spl term %s\n%s\n", name, tr.str().c_str());
+    std::printf("FAIL  spl term %s\n%s\n", name.c_str(), tr.str().c_str());
     tally->violations += static_cast<int>(tr.issues.size());
+    return;
+  }
+  if (perm && !spl::is_permutation(*term)) {
+    std::printf("FAIL  spl term %s: not a permutation\n", name.c_str());
+    ++tally->violations;
     return;
   }
   const spl::Program prog = spl::lower(*term);
   const spl::VerifyReport pr = spl::verify(prog);
   if (!pr.ok()) {
-    std::printf("FAIL  spl program %s\n%s\n", name, pr.str().c_str());
+    std::printf("FAIL  spl program %s\n%s\n", name.c_str(),
+                pr.str().c_str());
     tally->violations += static_cast<int>(pr.issues.size());
     return;
   }
   ++tally->spl_verified;
   if (opt.verbose) {
-    std::printf("  ok    spl %s (%zu + %zu nodes)\n", name, tr.nodes,
+    std::printf("  ok    spl %s (%zu + %zu nodes)\n", name.c_str(), tr.nodes,
                 pr.nodes);
   }
 }
 
-/// Largest packet size in {8,4,2,1} dividing m — what packet resolution
-/// would pick for the blocked variants.
-idx_t pick_mu(idx_t m) {
-  for (idx_t mu : {idx_t{8}, idx_t{4}, idx_t{2}}) {
-    if (m % mu == 0) return mu;
-  }
-  return 1;
-}
-
-void lint_spl(const std::vector<idx_t>& dims, const LintOptions& opt,
-              LintTally* tally) {
+void lint_spl(const std::vector<idx_t>& dims, const std::set<idx_t>& packets,
+              const LintOptions& opt, LintTally* tally) {
+  auto term = [&](const std::string& name, const spl::ExprPtr& e,
+                  bool perm = false) {
+    lint_one_term(name, e, perm, opt, tally);
+  };
   if (dims.size() == 2) {
     const idx_t n = dims[0], m = dims[1];
-    lint_one_term("dft2d_pencil", spl::dft2d_pencil(n, m), opt, tally);
-    lint_one_term("dft2d_transposed", spl::dft2d_transposed(n, m), opt,
-                  tally);
-    lint_one_term("dft2d_blocked", spl::dft2d_blocked(n, m, pick_mu(m)), opt,
-                  tally);
+    term("dft2d_pencil", spl::dft2d_pencil(n, m));
+    term("dft2d_transposed", spl::dft2d_transposed(n, m));
+    term("stride_perm", spl::stride_perm(n * m, m), true);
+    for (idx_t mu : packets) {
+      const std::string at = " mu=" + std::to_string(mu);
+      term("dft2d_blocked" + at, spl::dft2d_blocked(n, m, mu));
+    }
   } else {
     const idx_t k = dims[0], n = dims[1], m = dims[2];
-    const idx_t mu = pick_mu(m);
-    lint_one_term("dft3d_pencil", spl::dft3d_pencil(k, n, m), opt, tally);
-    lint_one_term("dft3d_slab_pencil", spl::dft3d_slab_pencil(k, n, m), opt,
-                  tally);
-    lint_one_term("rotation_k", spl::rotation_k(k, n, m), opt, tally);
-    lint_one_term("rotation_k_blocked",
-                  spl::rotation_k_blocked(k, n, m, mu), opt, tally);
-    lint_one_term("dft3d_rotated", spl::dft3d_rotated(k, n, m, mu), opt,
-                  tally);
+    term("dft3d_pencil", spl::dft3d_pencil(k, n, m));
+    term("dft3d_slab_pencil", spl::dft3d_slab_pencil(k, n, m));
+    term("rotation_k", spl::rotation_k(k, n, m), true);
+    for (idx_t mu : packets) {
+      const std::string at = " mu=" + std::to_string(mu);
+      term("rotation_k_blocked" + at, spl::rotation_k_blocked(k, n, m, mu),
+           true);
+      term("dft3d_rotated" + at, spl::dft3d_rotated(k, n, m, mu));
+      if (k % 2 == 0 && n % 2 == 0) {
+        term("dft3d_dual_socket sk=2" + at,
+             spl::dft3d_dual_socket(k, n, m, mu, 2));
+      }
+    }
   }
+  // The four-step 1D term of the total size, at its near-square split.
+  idx_t total = 1;
+  for (idx_t d : dims) total *= d;
+  idx_t a = 1;
+  for (idx_t d = 2; d * d <= total; ++d) {
+    if (total % d == 0) a = d;
+  }
+  term("dft1d_four_step", spl::dft1d_four_step(a, total / a));
 }
 
 // ---------------------------------------------------------------------------
@@ -306,8 +299,9 @@ int run_inject(const LintOptions& opt) {
     // A split with data threads: the Table II schedule, not the degraded
     // sequential one.
     FftOptions req;
-    const int pc = resolved_compute(opt.threads, -1);
-    const RolePlan roles = make_role_plan(opt.threads, pc, req.topo);
+    req.threads = opt.threads;
+    const RolePlan roles = make_role_plan(
+        opt.threads, resolve_role_counts(req).compute, req.topo);
     if (roles.data == 0) {
       std::fprintf(stderr, "inject: need a split with data threads\n");
       return 2;
@@ -319,17 +313,14 @@ int run_inject(const LintOptions& opt) {
     } else {
       trace.push_back(trace.front());
     }
-    const analysis::HazardReport sym =
-        analysis::verify_schedule_symbolic(trace, iters, roles);
-    const analysis::HazardReport dyn =
+    const analysis::HazardReport rep =
         analysis::audit_schedule(trace, iters, roles);
-    std::printf("inject %s: symbolic %s, runtime %s\n", mode.c_str(),
-                sym.clean() ? "MISSED" : "caught",
-                dyn.clean() ? "MISSED" : "caught");
-    if (!sym.clean()) std::printf("%s\n", sym.str().c_str());
-    // Both checkers must reject — a miss by either one (or a
-    // disagreement) exits 0 and fails the must-fail CI assertion.
-    return (!sym.clean() && !dyn.clean()) ? 1 : 0;
+    std::printf("inject %s: %s\n%s\n", mode.c_str(),
+                rep.clean() ? "NOT CAUGHT — the schedule audit is blind"
+                            : "caught",
+                rep.str().c_str());
+    // A miss exits 0 and fails the must-fail CI assertion.
+    return rep.clean() ? 0 : 1;
   }
 
   std::fprintf(stderr, "unknown inject mode '%s'\n", mode.c_str());
@@ -344,7 +335,12 @@ int main(int argc, char** argv) {
     const char* a = argv[i];
     if (!std::strcmp(a, "--dims") && i + 1 < argc) {
       std::vector<idx_t> d;
-      if (!parse_dims(argv[++i], &d)) return usage();
+      std::string err;
+      if (!cli::parse_dims(argv[++i], &d, &err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return usage();
+      }
+      if (d.size() != 2 && d.size() != 3) return usage();
       opt.dims_list.push_back(std::move(d));
     } else if (!std::strcmp(a, "--threads") && i + 1 < argc) {
       opt.threads = std::atoi(argv[++i]);
@@ -367,12 +363,11 @@ int main(int argc, char** argv) {
   for (const auto& dims : opt.dims_list) {
     std::printf("lint %s (threads=%d)\n", dims_str(dims).c_str(),
                 opt.threads);
-    lint_grid(dims, opt, &tally);
-    lint_spl(dims, opt, &tally);
+    lint_spl(dims, lint_grid(dims, opt, &tally), opt, &tally);
   }
   std::printf(
       "bwfft_lint: %d configurations proven, %d skipped, %d schedule "
-      "traces cross-checked, %d SPL terms verified\n",
+      "traces audited, %d SPL terms verified\n",
       tally.configs_verified, tally.configs_skipped,
       tally.schedules_verified, tally.spl_verified);
   if (tally.violations > 0) {
